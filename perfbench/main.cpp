@@ -4,10 +4,11 @@
  *
  *   perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
  *
- * Sets the workload up five times (the median is setup_s), then runs
- * its deck as a closed loop with one client for --seconds. With
- * --trace 0 it reports the end-to-end metrics; with --trace 1 it
- * splits the time between an untraced and a traced loop, makes one
+ * Sets the workload up, then runs its deck as a closed loop with one
+ * client for --seconds. With --trace 0 it sets up ten more times
+ * between passes (the median of the eleven is setup_s) and reports the
+ * end-to-end metrics; with --trace 1 it splits the time between an
+ * untraced and a traced loop, makes one
  * cold single-thread pass for the exact-repeat counts, replays the
  * layers on the first few requests, and reports the per-layer
  * metrics. The last line of stdout is one JSON object; see README.md.
@@ -21,6 +22,7 @@
 #include <cstdlib>
 #include <ctime>
 #include <exception>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -39,7 +41,7 @@ namespace {
 /** Taken during static initialization, before main runs. */
 const Clock::time_point kProcessStart = Clock::now();
 
-constexpr int kSetups = 5;         ///< setups per run (median = setup_s)
+constexpr int kSetups = 11;        ///< setups per run (median = setup_s)
 constexpr size_t kMaxReports = 5;  ///< failures printed per run
 
 struct Args
@@ -223,9 +225,11 @@ class Runner
     /**
      * Whole passes over the deck, in order, for at most @p budget
      * seconds (at least one pass): every pass has the same mix.
+     * @p betweenPasses, when given, runs after each pass, untimed.
      */
     LoopStats
-    loop(double budget, Tracer *tracer)
+    loop(double budget, Tracer *tracer,
+         const std::function<void()> &betweenPasses = nullptr)
     {
         LoopStats stats;
         RunContext ctx;
@@ -238,6 +242,8 @@ class Runner
             for (size_t i = 0; i < w_.size(); ++i)
                 runOnce(i, ctx, stats);
             pass = seconds(p0, Clock::now());
+            if (betweenPasses)
+                betweenPasses();
         } while (seconds(start, Clock::now()) + pass <= budget);
         return stats;
     }
@@ -481,20 +487,19 @@ main(int argc, char **argv)
     }
     const std::string loadStart = loadAvg();
 
-    // ---- Set-up: generate the deck and warm up, kSetups times ------
+    // ---- Set-up: clear the tile memo, draw the deck, warm up --------
     Runner runner(*w);
     LoopStats warm;
-    std::vector<double> setups;
     RunContext plain;
     plain.threads = w->threads();
-    for (int r = 0; r < kSetups; ++r) {
-        Clock::time_point t0 = r == 0 ? kProcessStart : Clock::now();
+    auto setUp = [&](Clock::time_point t0) {
         optimus::tileCacheClear();
         w->generate(args.seed);
         for (size_t i : w->warmup())
             runner.runOnce(i, plain, warm);
-        setups.push_back(seconds(t0, Clock::now()));
-    }
+        return seconds(t0, Clock::now());
+    };
+    std::vector<double> setups = {setUp(kProcessStart)};
 
     std::printf("perfbench inputs {\"workload\": \"%s\", \"seed\": %llu",
                 w->name().c_str(),
@@ -502,19 +507,32 @@ main(int argc, char **argv)
     for (const SummaryItem &s : w->summary())
         std::printf(", \"%s\": %s", s.key.c_str(), num(s.value).c_str());
     std::printf("}\n");
-    std::printf("perfbench setup_s [");
-    for (size_t r = 0; r < setups.size(); ++r)
-        std::printf("%s%s", r ? ", " : "", num(setups[r]).c_str());
-    std::printf("]\n");
     std::fflush(stdout);
 
-    long long attempted = warm.attempted, failed = warm.failed;
+    long long attempted = 0, failed = 0;
     std::vector<Metric> metrics;
     std::string anchors;
     if (!args.trace) {
-        LoopStats s = runner.loop(args.seconds, nullptr);
-        attempted += s.attempted;
-        failed += s.failed;
+        // The other set-ups run between passes, spread over the run, so
+        // that a burst of load from other tenants skews only a few.
+        const double every = args.seconds / kSetups;
+        Clock::time_point last = Clock::now();
+        LoopStats s = runner.loop(args.seconds, nullptr, [&] {
+            if (setups.size() < size_t(kSetups) &&
+                seconds(last, Clock::now()) >= every) {
+                setups.push_back(setUp(Clock::now()));
+                last = Clock::now();
+            }
+        });
+        while (setups.size() < size_t(kSetups))
+            setups.push_back(setUp(Clock::now()));
+        std::printf("perfbench setup_s [");
+        for (size_t r = 0; r < setups.size(); ++r)
+            std::printf("%s%s", r ? ", " : "", num(setups[r]).c_str());
+        std::printf("]\n");
+
+        attempted += warm.attempted + s.attempted;
+        failed += warm.failed + s.failed;
         BestOfPasses best(s, w->size());
         double tailPct = 0.0;
         metrics = endToEnd(best, setups, &tailPct);
@@ -571,10 +589,11 @@ main(int argc, char **argv)
             failed += ab.failed;
         }
 
-        attempted += untraced.attempted + traced.attempted +
-                     anchor.attempted + static_cast<long long>(replays);
-        failed += untraced.failed + traced.failed + anchor.failed +
-                  rs.failures;
+        attempted += warm.attempted + untraced.attempted +
+                     traced.attempted + anchor.attempted +
+                     static_cast<long long>(replays);
+        failed += warm.failed + untraced.failed + traced.failed +
+                  anchor.failed + rs.failures;
         metrics = perLayer(BestOfPasses(untraced, w->size()).p50(),
                            BestOfPasses(traced, w->size()).p50(), traced,
                            loopTracer.totals(), anchor,
