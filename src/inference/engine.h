@@ -20,7 +20,6 @@
 namespace optimus {
 
 class TraceSession;
-namespace plan { class EvalCache; }
 
 /** Inference scenario description. */
 struct InferenceOptions
@@ -57,14 +56,6 @@ struct InferenceOptions
      * the PhaseReport fields. Null (the default) costs nothing.
      */
     TraceSession *trace = nullptr;
-
-    /**
-     * Optional shared memo of op-list roofline evaluations
-     * (plan/plan.h), keyed by device name plus op signature; share one
-     * cache only across evaluations against the same System.
-     * Runtime-only; never serialized.
-     */
-    plan::EvalCache *evalCache = nullptr;
 };
 
 /** One row of the per-GEMM bound table (paper Table 4). */

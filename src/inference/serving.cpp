@@ -1,71 +1,32 @@
 #include "inference/serving.h"
 
-#include <algorithm>
-
-#include "comm/collective.h"
 #include "memory/kv_cache.h"
+#include "plan/plan.h"
 #include "util/error.h"
-#include "workload/graph.h"
 
 namespace optimus {
-
-namespace {
-
-/** One decode step for @p batch sequences at @p context tokens. */
-double
-decodeStepTime(const TransformerConfig &cfg, const System &sys,
-               const ServingOptions &opts, long long batch,
-               long long context)
-{
-    const Device &dev = sys.device;
-    double step = 0.0;
-    for (const Op &op : decodeLayerOps(cfg, batch, context,
-                                       opts.tensorParallel,
-                                       opts.precision,
-                                       opts.kvPrecision))
-        step += evaluateOp(dev, op).time;
-    step *= double(cfg.numLayers);
-
-    if (opts.tensorParallel > 1) {
-        double volume = double(batch) * cfg.hiddenSize *
-                        precisionBytes(opts.precision);
-        CollectiveResult ar = systemCollective(
-            sys, CollectiveKind::AllReduce, volume,
-            opts.tensorParallel, GroupScope::IntraNode,
-            opts.collectiveAlgorithm);
-        step += 2.0 * ar.time * double(cfg.numLayers);
-    }
-
-    for (const Op &op : headOps(cfg, batch, opts.tensorParallel,
-                                opts.precision))
-        step += evaluateOp(sys.device, op).time;
-    return step;
-}
-
-} // namespace
 
 ServingPoint
 evaluateServingPoint(const TransformerConfig &cfg, const System &sys,
                      const ServingOptions &opts, long long batch)
 {
+    return servingSweep(cfg, sys, opts, {batch}).front();
+}
+
+std::vector<ServingPoint>
+servingSweep(const TransformerConfig &cfg, const System &sys,
+             const ServingOptions &opts,
+             const std::vector<long long> &batches)
+{
     cfg.validate();
     sys.validate();
-    checkPositive(batch, "batch");
     checkPositive(opts.promptLength, "promptLength");
     checkPositive(opts.generateLength, "generateLength");
 
-    ServingPoint pt;
-    pt.batch = batch;
-
-    const long long mean_context =
-        opts.promptLength + opts.generateLength / 2;
-
-    pt.decodeStepTime =
-        decodeStepTime(cfg, sys, opts, batch, mean_context);
-
     // Continuous batching interleaves one prefill per completed
     // sequence; amortize its cost over that sequence's generated
-    // tokens. Prefill runs at batch 1 (chunked alongside decode).
+    // tokens. Prefill runs at batch 1 (chunked alongside decode), so
+    // one evaluation prices it for every batch of the sweep.
     InferenceOptions io;
     io.precision = opts.precision;
     io.tensorParallel = opts.tensorParallel;
@@ -74,39 +35,49 @@ evaluateServingPoint(const TransformerConfig &cfg, const System &sys,
     io.generateLength = 1;
     io.flashAttention = opts.flashAttention;
     io.collectiveAlgorithm = opts.collectiveAlgorithm;
-    InferenceReport one = evaluateInference(cfg, sys, io);
-    pt.timeToFirstToken = one.prefill.time;
+    io.kvPrecision = opts.kvPrecision;
+    const double prefill = evaluateInference(cfg, sys, io).prefill.time;
+    const double amortized_prefill =
+        prefill / double(opts.generateLength);
 
-    double amortized_prefill =
-        one.prefill.time / double(opts.generateLength);
-    double effective_step = pt.decodeStepTime + amortized_prefill;
+    // Decode runs at the mean context length: the first generated
+    // token after a prompt one shorter than that context.
+    io.promptLength = opts.promptLength + opts.generateLength / 2 - 1;
 
-    pt.interTokenLatency = effective_step;
-    pt.tokensPerSecond = double(batch) / effective_step;
-    pt.requestsPerSecond =
-        pt.tokensPerSecond / double(opts.generateLength);
-
-    long long max_context = opts.promptLength + opts.generateLength;
-    pt.kvCacheBytesPerDevice =
-        kvCacheBytes(cfg, batch, max_context, opts.kvPrecision) /
-        double(opts.tensorParallel);
-    double per_device =
-        pt.kvCacheBytesPerDevice +
+    const long long max_context = opts.promptLength + opts.generateLength;
+    const double weights_per_device =
         modelWeightBytes(cfg, opts.precision) /
-            double(opts.tensorParallel);
-    pt.fits = per_device <= sys.device.dram().capacity;
-    return pt;
-}
+        double(opts.tensorParallel);
 
-std::vector<ServingPoint>
-servingSweep(const TransformerConfig &cfg, const System &sys,
-             const ServingOptions &opts,
-             const std::vector<long long> &batches)
-{
     std::vector<ServingPoint> out;
     out.reserve(batches.size());
-    for (long long b : batches)
-        out.push_back(evaluateServingPoint(cfg, sys, opts, b));
+    for (long long batch : batches) {
+        checkPositive(batch, "batch");
+        ServingPoint pt;
+        pt.batch = batch;
+
+        io.batch = batch;
+        plan::KernelPlan kp;
+        plan::lowerDecodeToken(cfg, sys, io, 0, kp.steps);
+        pt.decodeStepTime =
+            plan::foldInference(plan::evaluatePlan(std::move(kp), sys),
+                                nullptr)
+                .decode.time;
+        pt.timeToFirstToken = prefill;
+
+        double effective_step = pt.decodeStepTime + amortized_prefill;
+        pt.interTokenLatency = effective_step;
+        pt.tokensPerSecond = double(batch) / effective_step;
+        pt.requestsPerSecond =
+            pt.tokensPerSecond / double(opts.generateLength);
+
+        pt.kvCacheBytesPerDevice =
+            kvCacheBytes(cfg, batch, max_context, opts.kvPrecision) /
+            double(opts.tensorParallel);
+        pt.fits = pt.kvCacheBytesPerDevice + weights_per_device <=
+                  sys.device.dram().capacity;
+        out.push_back(pt);
+    }
     return out;
 }
 
@@ -115,19 +86,22 @@ maxThroughputPoint(const TransformerConfig &cfg, const System &sys,
                    const ServingOptions &opts, long long batch_limit)
 {
     checkPositive(batch_limit, "batch limit");
-    ServingPoint best;
-    bool any = false;
-    for (long long b = 1; b <= batch_limit; b *= 2) {
-        ServingPoint pt = evaluateServingPoint(cfg, sys, opts, b);
+    std::vector<long long> batches;
+    for (long long b = 1; b <= batch_limit; b *= 2)
+        batches.push_back(b);
+    const std::vector<ServingPoint> points =
+        servingSweep(cfg, sys, opts, batches);
+
+    const ServingPoint *best = nullptr;
+    for (const ServingPoint &pt : points) {
         if (!pt.fits)
             break;
-        if (!any || pt.tokensPerSecond > best.tokensPerSecond) {
-            best = pt;
-            any = true;
-        }
+        if (best == nullptr || pt.tokensPerSecond > best->tokensPerSecond)
+            best = &pt;
     }
-    checkConfig(any, "model does not fit the device at batch 1");
-    return best;
+    checkConfig(best != nullptr,
+                "model does not fit the device at batch 1");
+    return *best;
 }
 
 double

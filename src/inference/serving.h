@@ -50,14 +50,22 @@ struct ServingPoint
 
 /**
  * Evaluate one steady-state batch size (decode at the mean context
- * length; prefill work amortized into the step time).
+ * length; prefill work amortized into the step time). Same as
+ * servingSweep over {batch}.
  */
 ServingPoint evaluateServingPoint(const TransformerConfig &cfg,
                                   const System &sys,
                                   const ServingOptions &opts,
                                   long long batch);
 
-/** Evaluate a sweep of batch sizes. */
+/**
+ * Evaluate a sweep of batch sizes, one point per entry of @p batches.
+ * The batch-1 prefill is priced once per call; each batch then costs
+ * one decode step lowered by plan::lowerDecodeToken, the same step
+ * evaluateInference prices per generated token. Every serving entry
+ * point (evaluateServingPoint, maxThroughputPoint, planServing,
+ * `optimus_cli serve`) goes through here.
+ */
 std::vector<ServingPoint> servingSweep(const TransformerConfig &cfg,
                                        const System &sys,
                                        const ServingOptions &opts,

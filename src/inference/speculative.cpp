@@ -2,37 +2,34 @@
 
 #include <cmath>
 
-#include "comm/collective.h"
+#include "plan/plan.h"
 #include "util/error.h"
-#include "workload/graph.h"
 
 namespace optimus {
 
 namespace {
 
-/** One decode step over @p queries query tokens at @p context. */
+/**
+ * One decode step of @p cfg over @p queries query tokens at
+ * opts.context, priced through the plan's decode-step lowering. The
+ * KV cache is stored at the compute precision.
+ */
 double
-stepTime(const TransformerConfig &cfg, const System &sys,
-         const SpeculativeOptions &opts, long long queries,
-         long long tp)
+decodeStep(const TransformerConfig &cfg, const System &sys,
+           const SpeculativeOptions &opts, long long queries,
+           long long tp)
 {
-    double t = 0.0;
-    for (const Op &op : decodeLayerOps(cfg, queries, opts.context, tp,
-                                       opts.precision))
-        t += evaluateOp(sys.device, op).time;
-    t *= double(cfg.numLayers);
-
-    if (tp > 1) {
-        double volume = double(queries) * cfg.hiddenSize *
-                        precisionBytes(opts.precision);
-        CollectiveResult ar = systemCollective(
-            sys, CollectiveKind::AllReduce, volume, tp,
-            GroupScope::IntraNode);
-        t += 2.0 * ar.time * double(cfg.numLayers);
-    }
-    for (const Op &op : headOps(cfg, queries, tp, opts.precision))
-        t += evaluateOp(sys.device, op).time;
-    return t;
+    InferenceOptions io;
+    io.precision = opts.precision;
+    io.kvPrecision = opts.precision;
+    io.tensorParallel = tp;
+    io.batch = queries;
+    io.promptLength = opts.context - 1;
+    plan::KernelPlan kp;
+    plan::lowerDecodeToken(cfg, sys, io, 0, kp.steps);
+    return plan::foldInference(plan::evaluatePlan(std::move(kp), sys),
+                               nullptr)
+        .decode.time;
 }
 
 } // namespace
@@ -55,9 +52,9 @@ evaluateSpeculative(const TransformerConfig &target,
     SpeculativeReport rep;
 
     // The draft runs unsharded (it is small); the target keeps TP.
-    rep.draftStepTime = stepTime(draft, sys, opts, 1, 1);
-    rep.verifyTime = stepTime(target, sys, opts, opts.gamma + 1,
-                              opts.tensorParallel);
+    rep.draftStepTime = decodeStep(draft, sys, opts, 1, 1);
+    rep.verifyTime = decodeStep(target, sys, opts, opts.gamma + 1,
+                                opts.tensorParallel);
 
     rep.cycleTime =
         double(opts.gamma) * rep.draftStepTime + rep.verifyTime;
@@ -69,7 +66,7 @@ evaluateSpeculative(const TransformerConfig &target,
     rep.tokensPerSecond = rep.expectedTokensPerCycle / rep.cycleTime;
 
     double target_step =
-        stepTime(target, sys, opts, 1, opts.tensorParallel);
+        decodeStep(target, sys, opts, 1, opts.tensorParallel);
     rep.baselineTokensPerSecond = 1.0 / target_step;
     rep.speedup = rep.tokensPerSecond / rep.baselineTokensPerSecond;
     return rep;

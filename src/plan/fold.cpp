@@ -199,50 +199,56 @@ foldInference(const EvaluatedPlan &ep, TraceSession *trace)
     return f;
 }
 
-std::vector<KernelAggregate>
-kernelAggregates(const EvaluatedPlan &ep)
+void
+KernelAggregator::add(const std::string &lane, const TraceSpan &span)
 {
-    struct Agg
-    {
-        KernelAggregate a;
-        std::map<std::string, double> boundTime;
-    };
-    std::map<std::string, Agg> by_key;
+    if (!span.isKernel())
+        return;
+    const std::string key = lane + "/" + span.name;
+    Entry &e = byKey_[key];
+    if (e.agg.count == 0) {
+        e.agg.key = key;
+        e.agg.category = span.category;
+    }
+    ++e.agg.count;
+    e.agg.time += span.duration;
+    e.agg.flops += span.flops;
+    e.agg.dramBytes += span.dramBytes();
+    e.agg.overhead += span.overhead;
+    e.boundTime[span.bound] += span.duration;
+}
 
-    forEachStepSpan(ep, [&](const std::string &lane, TraceSpan s) {
-        if (!s.isKernel())
-            return;
-        const std::string key = lane + "/" + s.name;
-        Agg &g = by_key[key];
-        if (g.a.count == 0) {
-            g.a.key = key;
-            g.a.category = s.category;
-        }
-        ++g.a.count;
-        g.a.time += s.duration;
-        g.a.flops += s.flops;
-        g.a.dramBytes += s.dramBytes();
-        g.a.overhead += s.overhead;
-        g.boundTime[s.bound] += s.duration;
-    });
-
+std::vector<KernelAggregate>
+KernelAggregator::finish()
+{
     std::vector<KernelAggregate> out;
-    out.reserve(by_key.size());
-    for (auto &kv : by_key) {
+    out.reserve(byKey_.size());
+    for (auto &kv : byKey_) {
         // A kernel whose bound class varies within the run (e.g. a
         // decode GEMV flipping DRAM -> L2 as the context grows) is
         // labeled by its time-dominant class; ties break
         // lexicographically so the label is deterministic.
-        Agg &g = kv.second;
+        Entry &e = kv.second;
         double best = -1.0;
-        for (const auto &bt : g.boundTime)
+        for (const auto &bt : e.boundTime)
             if (bt.second > best) {
                 best = bt.second;
-                g.a.bound = bt.first;
+                e.agg.bound = bt.first;
             }
-        out.push_back(std::move(g.a));
+        out.push_back(std::move(e.agg));
     }
+    byKey_.clear();
     return out;
+}
+
+std::vector<KernelAggregate>
+kernelAggregates(const EvaluatedPlan &ep)
+{
+    KernelAggregator agg;
+    forEachStepSpan(ep, [&](const std::string &lane, const TraceSpan &s) {
+        agg.add(lane, s);
+    });
+    return agg.finish();
 }
 
 } // namespace plan

@@ -5,6 +5,8 @@
  * Prefill lowers to one step per layer op (repeated over the L
  * layers), decode to one step per (token, op) with the L layers
  * aggregated into a single span — the historical decode-lane shape.
+ * lowerDecodeToken is the one decode-step lowering: the serving and
+ * speculative models price their steps through it too.
  * All TP/PP communication scopes go through groupScopeFor(), so a TP
  * group larger than a node correctly pays the inter-node link.
  */
@@ -35,6 +37,52 @@ opStep(const Op &op, const char *lane, const char *phase)
 }
 
 } // namespace
+
+void
+lowerDecodeToken(const TransformerConfig &cfg, const System &sys,
+                 const InferenceOptions &opts, long long token,
+                 std::vector<PlanStep> &steps)
+{
+    const long long L = cfg.numLayers;
+    const long long tp = opts.tensorParallel;
+    const long long context = opts.promptLength + token + 1;
+
+    for (const Op &op : decodeLayerOps(cfg, opts.batch, context, tp,
+                                       opts.precision, opts.kvPrecision)) {
+        PlanStep s = opStep(op, "decode", "decode");
+        s.repeatLayer = L;
+        s.aggregateLayers = true;
+        s.step = token;
+        steps.push_back(std::move(s));
+    }
+
+    if (tp > 1) {
+        PlanStep s;
+        s.kind = StepKind::Collective;
+        s.lane = "decode/comm";
+        s.name = "tp-allreduce";
+        s.category = "decode-comm";
+        s.phase = "decode";
+        s.repeatLayer = L;
+        s.aggregateLayers = true;
+        s.step = token;
+        s.collective = CollectiveKind::AllReduce;
+        s.volume = double(opts.batch) * double(cfg.hiddenSize) *
+                   precisionBytes(opts.precision);
+        s.groupSize = tp;
+        s.scope = groupScopeFor(sys, tp);
+        s.algorithm = opts.collectiveAlgorithm;
+        s.callsPerInstance = 2.0;
+        steps.push_back(std::move(s));
+    }
+
+    // Sampling head for this token.
+    for (const Op &op : headOps(cfg, opts.batch, tp, opts.precision)) {
+        PlanStep s = opStep(op, "decode", "decode");
+        s.step = token;
+        steps.push_back(std::move(s));
+    }
+}
 
 KernelPlan
 lowerInference(const TransformerConfig &cfg, const System &sys,
@@ -106,46 +154,8 @@ lowerInference(const TransformerConfig &cfg, const System &sys,
         kp.steps.push_back(opStep(op, "prefill", "prefill"));
 
     // ---- Decode (auto-regressive generation) ------------------------
-    for (long long i = 0; i < opts.generateLength; ++i) {
-        long long context = opts.promptLength + i + 1;
-        for (const Op &op :
-             decodeLayerOps(cfg, opts.batch, context, tp,
-                            opts.precision, opts.kvPrecision)) {
-            PlanStep s = opStep(op, "decode", "decode");
-            s.repeatLayer = L;
-            s.aggregateLayers = true;
-            s.step = i;
-            kp.steps.push_back(std::move(s));
-        }
-
-        if (tp > 1) {
-            PlanStep s;
-            s.kind = StepKind::Collective;
-            s.lane = "decode/comm";
-            s.name = "tp-allreduce";
-            s.category = "decode-comm";
-            s.phase = "decode";
-            s.repeatLayer = L;
-            s.aggregateLayers = true;
-            s.step = i;
-            s.collective = CollectiveKind::AllReduce;
-            s.volume = double(opts.batch) * double(cfg.hiddenSize) *
-                       precisionBytes(opts.precision);
-            s.groupSize = tp;
-            s.scope = groupScopeFor(sys, tp);
-            s.algorithm = opts.collectiveAlgorithm;
-            s.callsPerInstance = 2.0;
-            kp.steps.push_back(std::move(s));
-        }
-
-        // Sampling head for this token.
-        for (const Op &op :
-             headOps(cfg, opts.batch, tp, opts.precision)) {
-            PlanStep s = opStep(op, "decode", "decode");
-            s.step = i;
-            kp.steps.push_back(std::move(s));
-        }
-    }
+    for (long long i = 0; i < opts.generateLength; ++i)
+        lowerDecodeToken(cfg, sys, opts, i, kp.steps);
 
     // Pipeline-parallel stages add one activation hop per boundary:
     // per prefill pass and per generated token. The hop uses the

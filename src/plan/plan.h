@@ -47,6 +47,7 @@
 namespace optimus {
 
 class TraceSession;
+struct TraceSpan;
 
 namespace plan {
 
@@ -219,6 +220,18 @@ KernelPlan lowerTraining(const TransformerConfig &cfg, const System &sys,
 KernelPlan lowerInference(const TransformerConfig &cfg, const System &sys,
                           const InferenceOptions &opts);
 
+/**
+ * Append the decode steps of generated token @p token (0-based) to
+ * @p steps: the decodeLayerOps (each aggregated over the L layers) at
+ * context opts.promptLength + token + 1, the per-layer TP all-reduce
+ * scoped by groupScopeFor, and the sampling head. lowerInference
+ * calls it once per token; the serving and speculative models price
+ * one decode step with it. Does not validate its inputs.
+ */
+void lowerDecodeToken(const TransformerConfig &cfg, const System &sys,
+                      const InferenceOptions &opts, long long token,
+                      std::vector<PlanStep> &steps);
+
 // ---- Evaluate --------------------------------------------------------
 
 /** Map every step through the roofline / collective models. */
@@ -255,20 +268,46 @@ FoldedInference foldInference(const EvaluatedPlan &ep,
                               TraceSession *trace);
 
 /**
- * Aggregate of every kernel-detail span sharing one "<lane>/<name>"
- * identity — the plan-side source of report::KernelStat rows,
- * produced from the same span stream the trace folders emit.
+ * Aggregate of every kernel-detail span sharing one stable identity.
+ * The key is "<lane>/<name>" (e.g. "kernels/fwd/qkT-gemm",
+ * "decode/attn-v"), which is invariant across runs of the same
+ * config, so the diff engine can match kernels between two records.
+ * This is the RunRecord kernel row (report::KernelStat names it).
  */
 struct KernelAggregate
 {
     std::string key;
     std::string category;
-    long long count = 0;
-    double time = 0.0;
-    double flops = 0.0;
-    double dramBytes = 0.0;
-    double overhead = 0.0;
-    std::string bound;  ///< time-dominant bound class
+    long long count = 0;      ///< spans folded into this aggregate
+    double time = 0.0;        ///< summed modeled seconds
+    double flops = 0.0;       ///< summed arithmetic work
+    double dramBytes = 0.0;   ///< summed DRAM traffic
+    double overhead = 0.0;    ///< summed launch overhead
+    /** Time-dominant bound class ("compute", "DRAM", "L2", ...). */
+    std::string bound;
+};
+
+/**
+ * The one kernel-aggregation loop: folds kernel-detail spans into
+ * per-identity KernelAggregates. kernelAggregates feeds it the span
+ * stream of an evaluated plan; report::foldTrace feeds it the spans
+ * of a TraceSession.
+ */
+class KernelAggregator
+{
+  public:
+    /** Fold @p span of lane @p lane; non-kernel spans are skipped. */
+    void add(const std::string &lane, const TraceSpan &span);
+    /** The aggregates, sorted by key. */
+    std::vector<KernelAggregate> finish();
+
+  private:
+    struct Entry
+    {
+        KernelAggregate agg;
+        std::map<std::string, double> boundTime;
+    };
+    std::map<std::string, Entry> byKey_;
 };
 
 /** Per-identity kernel aggregates (requires a detail evaluation). */
@@ -292,17 +331,19 @@ struct InferenceRun
 
 /**
  * lower -> evaluate -> fold, plus the memory / model-FLOPs / MFU tail.
- * @p detail forces per-op kernel-detail evaluation (implied by an
- * attached trace session).
+ * @p eval carries the evaluator knobs: `detail` forces per-op
+ * kernel-detail evaluation (implied by an attached trace session) and
+ * `cache` shares a memo across runs (the planner's candidate sweep).
  */
 TrainingRun runTraining(const TransformerConfig &cfg, const System &sys,
                         const ParallelConfig &par, long long global_batch,
-                        const TrainingOptions &opts, bool detail = false);
+                        const TrainingOptions &opts,
+                        EvaluateOptions eval = {});
 
 /** Inference analogue of runTraining (KV/weight footprint tail). */
 InferenceRun runInference(const TransformerConfig &cfg, const System &sys,
                           const InferenceOptions &opts,
-                          bool detail = false);
+                          EvaluateOptions eval = {});
 
 // ---- Plan export (optimus_cli kernels) -------------------------------
 

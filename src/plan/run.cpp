@@ -46,16 +46,13 @@ modelFlopsPerBatch(const TransformerConfig &cfg, long long global_batch,
 TrainingRun
 runTraining(const TransformerConfig &cfg, const System &sys,
             const ParallelConfig &par, long long global_batch,
-            const TrainingOptions &opts, bool detail)
+            const TrainingOptions &opts, EvaluateOptions eval)
 {
     KernelPlan kp = lowerTraining(cfg, sys, par, global_batch, opts);
-
-    EvaluateOptions eo;
-    eo.detail = detail || tracing(opts.trace);
-    eo.cache = opts.evalCache;
+    eval.detail = eval.detail || tracing(opts.trace);
 
     TrainingRun run;
-    run.plan = evaluatePlan(std::move(kp), sys, eo);
+    run.plan = evaluatePlan(std::move(kp), sys, eval);
     FoldedTraining f = foldTraining(run.plan, opts.trace);
 
     TrainingReport &rep = run.report;
@@ -84,16 +81,13 @@ runTraining(const TransformerConfig &cfg, const System &sys,
 
 InferenceRun
 runInference(const TransformerConfig &cfg, const System &sys,
-             const InferenceOptions &opts, bool detail)
+             const InferenceOptions &opts, EvaluateOptions eval)
 {
     KernelPlan kp = lowerInference(cfg, sys, opts);
-
-    EvaluateOptions eo;
-    eo.detail = detail || tracing(opts.trace);
-    eo.cache = opts.evalCache;
+    eval.detail = eval.detail || tracing(opts.trace);
 
     InferenceRun run;
-    run.plan = evaluatePlan(std::move(kp), sys, eo);
+    run.plan = evaluatePlan(std::move(kp), sys, eval);
     FoldedInference f = foldInference(run.plan, opts.trace);
 
     InferenceReport &rep = run.report;

@@ -144,11 +144,11 @@ planTraining(const TransformerConfig &model, const System &sys,
                 TrainingPlan plan;
                 plan.parallel = c.parallel;
                 plan.options = c.options;
-                plan.options.evalCache = &cache;
-                plan.report = evaluateTraining(
-                    model, sys, c.parallel, global_batch,
-                    plan.options);
-                plan.options.evalCache = nullptr;
+                plan.report =
+                    plan::runTraining(model, sys, c.parallel,
+                                      global_batch, plan.options,
+                                      {.cache = &cache})
+                        .report;
                 return plan;
             });
 
@@ -183,6 +183,9 @@ planServing(const TransformerConfig &model, const System &sys,
     model.validate();
     sys.validate();
     checkPositive(opts.maxBatch, "maxBatch");
+    std::vector<long long> batches;
+    for (long long b = 1; b <= opts.maxBatch; b *= 2)
+        batches.push_back(b);
 
     std::vector<ServingPlan> plans;
     TraceSession *tr = opts.trace;
@@ -199,11 +202,10 @@ planServing(const TransformerConfig &model, const System &sys,
 
         ServingPlan best;
         bool any = false;
-        for (long long b = 1; b <= opts.maxBatch; b *= 2) {
+        for (const ServingPoint &pt :
+             servingSweep(model, sys, sopts, batches)) {
             if (tron)
                 tr->counterAdd("planner/serving-points");
-            ServingPoint pt =
-                evaluateServingPoint(model, sys, sopts, b);
             if (!pt.fits)
                 break;
             if (opts.maxInterTokenLatency > 0.0 &&

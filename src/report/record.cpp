@@ -43,27 +43,6 @@ beginRecord(const std::string &kind, const std::string &label,
     return rec;
 }
 
-/** Fill rec.kernels straight from the evaluated plan (no trace). */
-void
-planKernels(RunRecord &rec, const plan::EvaluatedPlan &ep)
-{
-    rec.kernels.clear();
-    std::vector<plan::KernelAggregate> aggs = plan::kernelAggregates(ep);
-    rec.kernels.reserve(aggs.size());
-    for (plan::KernelAggregate &a : aggs) {
-        KernelStat k;
-        k.key = std::move(a.key);
-        k.category = std::move(a.category);
-        k.count = a.count;
-        k.time = a.time;
-        k.flops = a.flops;
-        k.dramBytes = a.dramBytes;
-        k.overhead = a.overhead;
-        k.bound = std::move(a.bound);
-        rec.kernels.push_back(std::move(k));
-    }
-}
-
 } // namespace
 
 void
@@ -126,48 +105,11 @@ fingerprintJson(const JsonValue &config)
 void
 foldTrace(RunRecord &rec, const TraceSession &session)
 {
-    struct Agg
-    {
-        KernelStat stat;
-        std::map<std::string, double> boundTime;
-    };
-    std::map<std::string, Agg> byKey;
-
+    plan::KernelAggregator agg;
     const std::vector<TraceLane> &lanes = session.lanes();
-    for (const TraceSpan &s : session.spans()) {
-        if (!s.isKernel())
-            continue;
-        const std::string key =
-            lanes.at(static_cast<size_t>(s.lane)).name + "/" + s.name;
-        Agg &a = byKey[key];
-        if (a.stat.count == 0) {
-            a.stat.key = key;
-            a.stat.category = s.category;
-        }
-        ++a.stat.count;
-        a.stat.time += s.duration;
-        a.stat.flops += s.flops;
-        a.stat.dramBytes += s.dramBytes();
-        a.stat.overhead += s.overhead;
-        a.boundTime[s.bound] += s.duration;
-    }
-
-    rec.kernels.clear();
-    rec.kernels.reserve(byKey.size());
-    for (auto &kv : byKey) {
-        // A kernel whose bound class varies within the run (e.g. a
-        // decode GEMV flipping DRAM -> L2 as the context grows) is
-        // labeled by its time-dominant class; ties break
-        // lexicographically so the label is deterministic.
-        Agg &a = kv.second;
-        double best = -1.0;
-        for (const auto &bt : a.boundTime)
-            if (bt.second > best) {
-                best = bt.second;
-                a.stat.bound = bt.first;
-            }
-        rec.kernels.push_back(std::move(a.stat));
-    }
+    for (const TraceSpan &s : session.spans())
+        agg.add(lanes.at(static_cast<size_t>(s.lane)).name, s);
+    rec.kernels = agg.finish();
 
     for (const auto &kv : session.counters())
         rec.counters[kv.first] = kv.second;
@@ -330,9 +272,8 @@ recordTraining(const TransformerConfig &model, const System &sys,
     // the evaluated plan; no trace session is involved.
     opts.trace = nullptr;
     clock::time_point t0 = clock::now();
-    plan::TrainingRun run = plan::runTraining(model, sys, par,
-                                              global_batch, opts,
-                                              /*detail=*/true);
+    plan::TrainingRun run = plan::runTraining(
+        model, sys, par, global_batch, opts, {.detail = true});
     rec.wallSeconds = secondsSince(t0);
     const TrainingReport &rep = run.report;
 
@@ -362,7 +303,7 @@ recordTraining(const TransformerConfig &model, const System &sys,
     rec.setMetric("memory/optimizer", rep.memory.optimizer);
     rec.setMetric("memory/activations", rep.memory.activations);
 
-    planKernels(rec, run.plan);
+    rec.kernels = plan::kernelAggregates(run.plan);
     for (const auto &kv : run.plan.plan.counters)
         rec.counters[kv.first] = kv.second;
     rec.counters["train/time-per-batch-s"] = rep.timePerBatch;
@@ -386,7 +327,7 @@ recordInference(const TransformerConfig &model, const System &sys,
     opts.trace = nullptr;
     clock::time_point t0 = clock::now();
     plan::InferenceRun run =
-        plan::runInference(model, sys, opts, /*detail=*/true);
+        plan::runInference(model, sys, opts, {.detail = true});
     rec.wallSeconds = secondsSince(t0);
     const InferenceReport &rep = run.report;
 
@@ -417,7 +358,7 @@ recordInference(const TransformerConfig &model, const System &sys,
     rec.setMetric("memory/weights", rep.weightBytes);
     rec.setMetric("memory/fits", rep.fitsDeviceMemory ? 1.0 : 0.0);
 
-    planKernels(rec, run.plan);
+    rec.kernels = plan::kernelAggregates(run.plan);
     for (const auto &kv : run.plan.plan.counters)
         rec.counters[kv.first] = kv.second;
     return rec;

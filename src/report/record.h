@@ -29,6 +29,7 @@
 
 #include "dse/search.h"
 #include "inference/engine.h"
+#include "plan/plan.h"
 #include "planner/planner.h"
 #include "training/trainer.h"
 #include "util/json.h"
@@ -39,24 +40,8 @@ class TraceSession;
 
 namespace report {
 
-/**
- * Aggregate of every kernel-detail span sharing one stable identity.
- * The key is "<lane>/<name>" (e.g. "kernels/fwd/qkT-gemm",
- * "decode/attn-v"), which is invariant across runs of the same
- * config, so the diff engine can match kernels between two records.
- */
-struct KernelStat
-{
-    std::string key;
-    std::string category;
-    long long count = 0;      ///< spans folded into this aggregate
-    double time = 0.0;        ///< summed modeled seconds
-    double flops = 0.0;       ///< summed arithmetic work
-    double dramBytes = 0.0;   ///< summed DRAM traffic
-    double overhead = 0.0;    ///< summed launch overhead
-    /** Time-dominant bound class ("compute", "DRAM", "L2", ...). */
-    std::string bound;
-};
+/** One per-identity kernel row (see plan::KernelAggregate). */
+using KernelStat = plan::KernelAggregate;
 
 /** One validation-table row (paper Tables 1-2 style). */
 struct ValidationRow

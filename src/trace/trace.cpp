@@ -120,43 +120,6 @@ TraceSession::reset()
         l.cursor = 0.0;
 }
 
-void
-TraceSession::absorb(TraceSession &&worker)
-{
-    if (!enabled_ || !worker.enabled_)
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    // Map each worker lane to the same-named lane here, remembering
-    // this session's cursor as the splice offset (the lane boundary).
-    std::vector<int> lane_map(worker.lanes_.size(), 0);
-    std::vector<double> base(worker.lanes_.size(), 0.0);
-    for (size_t i = 0; i < worker.lanes_.size(); ++i) {
-        int id = laneLocked(worker.lanes_[i].name);
-        lane_map[i] = id;
-        base[i] = lanes_[static_cast<size_t>(id)].cursor;
-        lanes_[static_cast<size_t>(id)].cursor +=
-            worker.lanes_[i].cursor;
-    }
-    for (TraceSpan &s : worker.spans_) {
-        size_t wl = static_cast<size_t>(s.lane);
-        if (wl < lane_map.size()) {
-            s.start += base[wl];
-            s.lane = lane_map[wl];
-        }
-        spans_.push_back(std::move(s));
-    }
-    for (const auto &[name, value] : worker.counters_)
-        counters_[name] += value;
-    for (CounterSample &s : worker.samples_)
-        samples_.push_back(std::move(s));
-
-    worker.spans_.clear();
-    worker.samples_.clear();
-    worker.counters_.clear();
-    for (TraceLane &l : worker.lanes_)
-        l.cursor = 0.0;
-}
-
 std::map<std::string, double>
 TraceSession::categoryTotals() const
 {

@@ -86,15 +86,14 @@ struct CounterSample
  * branch per instrumented section).
  *
  * Thread safety: every mutating operation (lane, emit, counterAdd,
- * counterSet, reset, absorb) and every scalar read (counter,
- * categoryTotals, makespan) is internally synchronized, so sweeps
- * fanned out through the exec layer may share one session — counter
- * *totals* are deterministic across thread counts (sums commute),
- * while the per-sample record order is scheduling-dependent at
- * threads > 1. The reference-returning inspectors (spans, lanes,
- * counters, counterSamples) are safe only once concurrent recording
- * has quiesced. For parallel span recording, prefer a worker-local
- * session per task merged via absorb() at the join point.
+ * counterSet, reset) and every scalar read (counter, categoryTotals,
+ * makespan) is internally synchronized, so sweeps fanned out through
+ * the exec layer may share one session — counter *totals* are
+ * deterministic across thread counts (sums commute), while the
+ * per-sample record order is scheduling-dependent at threads > 1.
+ * The reference-returning inspectors (spans, lanes, counters,
+ * counterSamples) are safe only once concurrent recording has
+ * quiesced.
  */
 class TraceSession
 {
@@ -136,18 +135,6 @@ class TraceSession
 
     /** Clear spans, counters, samples and lane cursors. */
     void reset();
-
-    /**
-     * Merge a worker-thread session recorded against the same logical
-     * timeline: each worker lane is appended at the current cursor of
-     * the same-named lane here (the lane boundary), counters are
-     * summed into this session's totals and the worker's sample
-     * history is appended. @p worker is left cleared. This is the
-     * join-point primitive for per-thread span buffers: workers
-     * record into private sessions with zero contention, and the
-     * coordinator absorbs them in a deterministic (slot) order.
-     */
-    void absorb(TraceSession &&worker);
 
     // ---- Inspection --------------------------------------------------
 

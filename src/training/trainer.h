@@ -24,7 +24,6 @@
 namespace optimus {
 
 class TraceSession;
-namespace plan { class EvalCache; }
 
 /** Tunables of the training evaluation. */
 struct TrainingOptions
@@ -53,16 +52,6 @@ struct TrainingOptions
      * Null (the default) costs nothing.
      */
     TraceSession *trace = nullptr;
-
-    /**
-     * Optional shared memo of op-list roofline evaluations
-     * (plan/plan.h). Candidate mappings that lower to identical op
-     * lists (e.g. planner candidates differing only in DP degree)
-     * reuse each other's estimates. Entries are keyed by device name
-     * plus op signature, so share one cache only across evaluations
-     * against the same System. Runtime-only; never serialized.
-     */
-    plan::EvalCache *evalCache = nullptr;
 };
 
 /** Time breakdown per global batch, seconds. */

@@ -290,32 +290,5 @@ TEST(TraceThreadSafety, ConcurrentCounterAddsSumExactly)
     EXPECT_EQ(session.counter("hits"), 1000.0);
 }
 
-TEST(TraceThreadSafety, AbsorbMergesWorkerSessionsAtLaneBoundary)
-{
-    TraceSession main;
-    int lane = main.lane("work");
-    main.emit(lane, "before", "compute", 1.0);
-    main.counterAdd("evals", 2);
-
-    TraceSession worker;
-    int wlane = worker.lane("work");
-    worker.emit(wlane, "w0", "compute", 0.5);
-    worker.emit(wlane, "w1", "memory", 0.25);
-    worker.counterAdd("evals", 3);
-
-    main.absorb(std::move(worker));
-
-    EXPECT_EQ(main.counter("evals"), 5.0);
-    ASSERT_EQ(main.spans().size(), 3u);
-    // Worker spans land after the lane's existing cursor: no overlap,
-    // monotone start times within the lane.
-    double prev_end = 0.0;
-    for (const TraceSpan &s : main.spans()) {
-        EXPECT_GE(s.start, prev_end);
-        prev_end = s.start + s.duration;
-    }
-    EXPECT_NEAR(main.makespan(), 1.75, 1e-12);
-}
-
 } // namespace
 } // namespace optimus

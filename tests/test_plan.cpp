@@ -256,7 +256,7 @@ TEST(Plan, KernelAggregatesMatchStepStream)
     opts.recompute = Recompute::Selective;
 
     plan::TrainingRun run = plan::runTraining(model, sys, par, 32,
-                                              opts, /*detail=*/true);
+                                              opts, {.detail = true});
     std::vector<plan::KernelAggregate> aggs =
         plan::kernelAggregates(run.plan);
     ASSERT_FALSE(aggs.empty());

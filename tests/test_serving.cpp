@@ -3,10 +3,13 @@
  * Tests for the serving-throughput extension and the TPU presets.
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "hw/presets.h"
 #include "inference/serving.h"
+#include "planner/planner.h"
 #include "util/error.h"
 #include "util/units.h"
 #include "workload/presets.h"
@@ -118,6 +121,57 @@ TEST(Serving, RejectsBadInputs)
                  ConfigError);
     ServingPoint empty;
     EXPECT_THROW(costPerMillionTokens(sys, opts, empty), ConfigError);
+}
+
+TEST(Serving, DecodeStepIsTheInferenceDecodeStep)
+{
+    // One decode path: a serving step is exactly the single decode
+    // token evaluateInference prices at the mean context length.
+    System sys = presets::dgxA100(1);
+    TransformerConfig cfg = models::llama2_13b();
+    ServingOptions opts = chatOptions(2);
+    opts.kvPrecision = Precision::FP8;
+    const long long batch = 16;
+    ServingPoint pt = evaluateServingPoint(cfg, sys, opts, batch);
+
+    InferenceOptions io;
+    io.precision = opts.precision;
+    io.kvPrecision = opts.kvPrecision;
+    io.tensorParallel = opts.tensorParallel;
+    io.batch = batch;
+    io.promptLength = opts.promptLength + opts.generateLength / 2 - 1;
+    io.generateLength = 1;
+    EXPECT_EQ(pt.decodeStepTime,
+              evaluateInference(cfg, sys, io).decode.time);
+}
+
+TEST(Serving, TensorParallelAcrossNodes)
+{
+    // TP 16 on two 8-GPU nodes: the decode all-reduce crosses the
+    // inter-node link instead of throwing an intra-node scope error.
+    System sys = presets::dgxA100(2);
+    TransformerConfig cfg = models::llama2_70b();
+    ServingOptions opts = chatOptions(16);
+    ServingPoint pt;
+    ASSERT_NO_THROW(pt = evaluateServingPoint(cfg, sys, opts, 8));
+    for (double v : {pt.decodeStepTime, pt.tokensPerSecond,
+                     pt.requestsPerSecond, pt.timeToFirstToken,
+                     pt.interTokenLatency}) {
+        EXPECT_TRUE(std::isfinite(v));
+        EXPECT_GT(v, 0.0);
+    }
+
+    ServingPlannerOptions po;
+    po.serving = opts;
+    po.tensorParallelChoices = {8, 16};
+    std::vector<ServingPlan> plans;
+    ASSERT_NO_THROW(plans = planServing(cfg, sys, po));
+    ASSERT_EQ(plans.size(), 2u);
+    for (const ServingPlan &p : plans) {
+        EXPECT_TRUE(std::isfinite(p.tokensPerSecondPerDevice));
+        EXPECT_GT(p.tokensPerSecondPerDevice, 0.0);
+        EXPECT_GT(p.point.decodeStepTime, 0.0);
+    }
 }
 
 // ---- TPU presets -------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "hw/presets.h"
+#include "inference/engine.h"
 #include "inference/speculative.h"
 #include "util/error.h"
 #include "workload/presets.h"
@@ -91,6 +92,48 @@ TEST(Speculative, RejectsBadSetups)
     EXPECT_THROW(evaluateSpeculative(models::llama2_7b(),
                                      models::llama2_70b(), sys, opts),
                  ConfigError);
+}
+
+TEST(Speculative, VerifyIsTheInferenceDecodeStep)
+{
+    // One decode path: verification is one decode token over gamma+1
+    // queries, with the KV cache at the compute precision.
+    System sys = presets::dgxA100(1);
+    SpeculativeOptions opts = defaults();
+    opts.tensorParallel = 4;
+    opts.precision = Precision::BF16;
+    SpeculativeReport rep = evaluateSpeculative(
+        models::llama2_70b(), models::llama2_7b(), sys, opts);
+
+    InferenceOptions io;
+    io.precision = opts.precision;
+    io.kvPrecision = opts.precision;
+    io.tensorParallel = opts.tensorParallel;
+    io.batch = opts.gamma + 1;
+    io.promptLength = opts.context - 1;
+    io.generateLength = 1;
+    EXPECT_EQ(rep.verifyTime,
+              evaluateInference(models::llama2_70b(), sys, io)
+                  .decode.time);
+}
+
+TEST(Speculative, TensorParallelAcrossNodes)
+{
+    // TP 16 on two 8-GPU nodes prices the verify all-reduce on the
+    // inter-node link instead of throwing a scope error.
+    System sys = presets::dgxA100(2);
+    SpeculativeOptions opts = defaults();
+    opts.tensorParallel = 16;
+    SpeculativeReport rep;
+    ASSERT_NO_THROW(rep = evaluateSpeculative(models::llama2_70b(),
+                                              models::llama2_7b(), sys,
+                                              opts));
+    for (double v : {rep.draftStepTime, rep.verifyTime, rep.cycleTime,
+                     rep.tokensPerSecond, rep.baselineTokensPerSecond,
+                     rep.speedup}) {
+        EXPECT_TRUE(std::isfinite(v));
+        EXPECT_GT(v, 0.0);
+    }
 }
 
 // Property: speedup is unimodal-ish in gamma; tiny gamma underuses

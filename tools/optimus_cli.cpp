@@ -234,12 +234,20 @@ cmdServe(const Args &args)
 
     Table out({"Batch", "tok/s", "req/s", "ms/token", "TTFT (ms)",
                "fits", "$/Mtok"});
+    const long long max_batch = args.getInt("max-batch", 128);
+    checkPositive(max_batch, "batch limit");
+    std::vector<long long> batches;
+    for (long long b = 1; b <= max_batch; b *= 2)
+        batches.push_back(b);
+    const std::vector<ServingPoint> points =
+        servingSweep(model, sys, opts, batches);
+
     ServingCostModel cost;
-    for (long long b = 1; b <= args.getInt("max-batch", 128);
-         b *= 2) {
-        ServingPoint pt = evaluateServingPoint(model, sys, opts, b);
+    const ServingPoint *best = nullptr;
+    bool fitting = true;
+    for (const ServingPoint &pt : points) {
         out.beginRow()
-            .cell(b)
+            .cell(pt.batch)
             .cell(pt.tokensPerSecond, 0)
             .cell(pt.requestsPerSecond, 2)
             .cell(pt.interTokenLatency * 1e3, 2)
@@ -247,6 +255,12 @@ cmdServe(const Args &args)
             .cell(pt.fits ? "yes" : "NO")
             .cell(costPerMillionTokens(sys, opts, pt, cost), 2);
         out.endRow();
+        // The best fitting batch: the largest throughput before the
+        // first batch that overflows device memory.
+        fitting = fitting && pt.fits;
+        if (fitting &&
+            (best == nullptr || pt.tokensPerSecond > best->tokensPerSecond))
+            best = &pt;
     }
     std::cout << model.name << " serving on TP" << opts.tensorParallel
               << " " << sys.device.name << " ("
@@ -254,10 +268,10 @@ cmdServe(const Args &args)
               << " tokens)\n\n";
     out.print(std::cout);
 
-    ServingPoint best = maxThroughputPoint(
-        model, sys, opts, args.getInt("max-batch", 128));
-    std::cout << "\nbest fitting batch: " << best.batch << " ("
-              << best.tokensPerSecond << " tok/s)\n";
+    checkConfig(best != nullptr,
+                "model does not fit the device at batch 1");
+    std::cout << "\nbest fitting batch: " << best->batch << " ("
+              << best->tokensPerSecond << " tok/s)\n";
     return 0;
 }
 
