@@ -58,7 +58,7 @@ servingSweep(const TransformerConfig &cfg, const System &sys,
 
         io.batch = batch;
         plan::KernelPlan kp;
-        plan::lowerDecodeToken(cfg, sys, io, 0, kp.steps);
+        plan::lowerDecodeTokens(cfg, sys, io, 0, 1, kp.steps);
         pt.decodeStepTime =
             plan::foldInference(plan::evaluatePlan(std::move(kp), sys),
                                 nullptr)

@@ -61,7 +61,7 @@ ServingPoint evaluateServingPoint(const TransformerConfig &cfg,
 /**
  * Evaluate a sweep of batch sizes, one point per entry of @p batches.
  * The batch-1 prefill is priced once per call; each batch then costs
- * one decode step lowered by plan::lowerDecodeToken, the same step
+ * one decode step lowered by plan::lowerDecodeTokens, the same step
  * evaluateInference prices per generated token. Every serving entry
  * point (evaluateServingPoint, maxThroughputPoint, planServing,
  * `optimus_cli serve`) goes through here.

@@ -26,7 +26,7 @@ decodeStep(const TransformerConfig &cfg, const System &sys,
     io.batch = queries;
     io.promptLength = opts.context - 1;
     plan::KernelPlan kp;
-    plan::lowerDecodeToken(cfg, sys, io, 0, kp.steps);
+    plan::lowerDecodeTokens(cfg, sys, io, 0, 1, kp.steps);
     return plan::foldInference(plan::evaluatePlan(std::move(kp), sys),
                                nullptr)
         .decode.time;

@@ -3,18 +3,22 @@
  * The single evaluator: maps every PlanStep through the roofline
  * (workload/graph.h) and collective (comm/collective.h) models.
  *
- * Op-list evaluations are memoized — always within one plan (the
- * recompute step reuses the forward estimate, decode heads repeat per
- * token), and optionally across plans through a shared EvalCache
- * (planner candidates differing only in DP degree lower to identical
- * op lists). Cached values are deterministic, so neither memo level
- * can change results at any thread count.
+ * Op-list evaluations are memoized under a binary signature of their
+ * Op fields — always within one plan (the recompute step reuses the
+ * forward estimate, a sliding window repeats the attention ops once
+ * the context passes it), and optionally across plans through a
+ * shared EvalCache (planner candidates differing only in DP degree
+ * lower to identical op lists). Cached values are deterministic, so
+ * neither memo level can change results at any thread count.
  */
 
 #include "plan/plan.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <unordered_map>
 
 namespace optimus {
 namespace plan {
@@ -46,86 +50,140 @@ EvalCache::size() const
 
 namespace {
 
-void
-appendDouble(std::string &sig, double v)
+/**
+ * Fixed-size record of every Op field evaluateOp reads, each widened
+ * to 64 bits (doubles as their bit patterns) so the record has no
+ * padding and two records are equal exactly when the fields are.
+ * Labels are excluded: they never affect the numbers.
+ */
+struct OpRecord
 {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    sig += buf;
-    sig += ';';
+    std::uint64_t f[19];
+};
+static_assert(sizeof(OpRecord) == 19 * sizeof(std::uint64_t));
+
+std::uint64_t
+bits(long long v)
+{
+    return static_cast<std::uint64_t>(v);
 }
 
-void
-appendInt(std::string &sig, long long v)
+std::uint64_t
+bits(double v)
 {
-    sig += std::to_string(v);
-    sig += ';';
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+OpRecord
+opRecord(const Op &op)
+{
+    return {{bits(static_cast<long long>(op.kind)),
+             bits(op.gemm.m),
+             bits(op.gemm.n),
+             bits(op.gemm.k),
+             bits(static_cast<long long>(op.gemm.precision)),
+             bits(op.count),
+             bits(op.launchCount),
+             bits(op.rows),
+             bits(op.cols),
+             bits(op.elements),
+             bits(op.flopsPerElement),
+             bits(op.fusedFlops),
+             bits(op.fusedDramBytes),
+             bits(op.fusedOnChipBytes),
+             bits(static_cast<long long>(op.fusedPrecision)),
+             bits(op.streamBytes),
+             bits(op.streamFlops),
+             bits(static_cast<long long>(op.streamPrecision)),
+             bits(static_cast<long long>(op.fused))}};
 }
 
 /**
- * Full numeric signature of an op list on one device. Labels are
- * excluded (they never affect the numbers); every field evaluateOp
- * reads is included.
+ * Binary signature of an op list on one device: the op count, one
+ * OpRecord per op, then the device name. Two signatures are equal
+ * exactly when every field is bit-equal.
  */
 std::string
-opsSignature(const Device &dev, const std::vector<Op> &ops)
+opsSignature(const Device &dev, const Op *ops, size_t n)
 {
-    std::string sig = dev.name;
-    sig += '|';
-    for (const Op &op : ops) {
-        appendInt(sig, static_cast<long long>(op.kind));
-        appendInt(sig, op.gemm.m);
-        appendInt(sig, op.gemm.n);
-        appendInt(sig, op.gemm.k);
-        appendInt(sig, static_cast<long long>(op.gemm.precision));
-        appendInt(sig, op.count);
-        appendInt(sig, op.launchCount);
-        appendDouble(sig, op.rows);
-        appendDouble(sig, op.cols);
-        appendDouble(sig, op.elements);
-        appendDouble(sig, op.flopsPerElement);
-        appendDouble(sig, op.fusedFlops);
-        appendDouble(sig, op.fusedDramBytes);
-        appendDouble(sig, op.fusedOnChipBytes);
-        appendInt(sig, static_cast<long long>(op.fusedPrecision));
-        appendDouble(sig, op.streamBytes);
-        appendDouble(sig, op.streamFlops);
-        appendInt(sig, static_cast<long long>(op.streamPrecision));
-        sig += op.fused ? 'f' : 'u';
-        sig += '|';
+    const std::uint64_t count = n;
+    std::string sig(sizeof count + n * sizeof(OpRecord) + dev.name.size(),
+                    '\0');
+    char *out = sig.data();
+    std::memcpy(out, &count, sizeof count);
+    out += sizeof count;
+    for (size_t i = 0; i < n; ++i, out += sizeof(OpRecord)) {
+        const OpRecord r = opRecord(ops[i]);
+        std::memcpy(out, &r, sizeof r);
     }
+    std::memcpy(out, dev.name.data(), dev.name.size());
     return sig;
+}
+
+using LocalMemo = std::unordered_map<std::string, KernelEstimate>;
+
+/**
+ * The estimate under @p key: from the per-plan memo, else from the
+ * shared cache, else from @p eval() (then stored in both).
+ */
+template <typename Eval>
+KernelEstimate
+memoized(std::string key, LocalMemo &local, EvalCache *shared,
+         Eval &&eval)
+{
+    auto it = local.find(key);
+    if (it != local.end())
+        return it->second;
+    KernelEstimate est;
+    if (shared == nullptr || !shared->lookup(key, &est)) {
+        est = eval();
+        if (shared != nullptr)
+            shared->insert(key, est);
+    }
+    local.emplace(std::move(key), est);
+    return est;
 }
 
 /** Memoized evaluation of one compute part. */
 KernelEstimate
 evaluatePart(const Device &dev, const ComputePart &part,
-             std::map<std::string, KernelEstimate> &local,
-             EvalCache *shared)
+             LocalMemo &local, EvalCache *shared)
 {
-    std::string key = opsSignature(dev, part.ops);
-    KernelEstimate est;
-    auto it = local.find(key);
-    if (it != local.end()) {
-        est = it->second;
-    } else if (shared != nullptr && shared->lookup(key, &est)) {
-        local.emplace(key, est);
-    } else {
-        // A single op goes through evaluateOp directly so the cached
-        // estimate is bit-identical to the per-kernel detail path.
-        est = (part.ops.size() == 1)
-                  ? evaluateOp(dev, part.ops[0])
-                  : evaluateOps(dev, part.ops, part.label);
-        local.emplace(key, est);
-        if (shared != nullptr)
-            shared->insert(key, est);
-    }
-    est.kernel =
-        part.ops.size() == 1 ? part.ops[0].name : part.label;
+    const bool single = part.ops.size() == 1;
+    KernelEstimate est = memoized(
+        opsSignature(dev, part.ops.data(), part.ops.size()), local,
+        shared, [&] {
+            // A single op goes through evaluateOp directly so the
+            // cached estimate is bit-identical to the per-kernel
+            // detail path.
+            return single ? evaluateOp(dev, part.ops[0])
+                          : evaluateOps(dev, part.ops, part.label);
+        });
+    est.kernel = single ? part.ops[0].name : part.label;
+    return est;
+}
+
+/** Memoized evaluation of one tokenOps entry. */
+KernelEstimate
+evaluateTokenOp(const Device &dev, const Op &op, LocalMemo &local,
+                EvalCache *shared)
+{
+    KernelEstimate est =
+        memoized(opsSignature(dev, &op, 1), local, shared,
+                 [&] { return evaluateOp(dev, op); });
+    est.kernel = op.name;
     return est;
 }
 
 } // namespace
+
+const char *
+boundBucket(const Op &op, const KernelEstimate &est)
+{
+    if (op.kind != OpKind::Gemm && op.kind != OpKind::FusedAttention)
+        return "other";
+    return est.computeBound() ? "gemm-compute" : "gemm-memory";
+}
 
 EvaluatedPlan
 evaluatePlan(KernelPlan plan, const System &sys,
@@ -135,7 +193,7 @@ evaluatePlan(KernelPlan plan, const System &sys,
     ep.dev = sys.device;
     ep.evals.reserve(plan.steps.size());
 
-    std::map<std::string, KernelEstimate> local;
+    LocalMemo local;
     // Running busy time of the steps evaluated so far — the quantity
     // the pipeline-bubble step scales (the bubble is lowered after
     // every per-iteration step and before DP/optimizer).
@@ -146,9 +204,25 @@ evaluatePlan(KernelPlan plan, const System &sys,
         ev.category = st.category;
         const double instances =
             double(st.repeatLayer) * double(st.repeatMicrobatch);
+        const double tokens = double(st.repeatToken);
 
         switch (st.kind) {
           case StepKind::Compute: {
+            if (!st.tokenOps.empty()) {
+                // Context-dependent: price every token's op.
+                ev.tokenEsts.reserve(st.tokenOps.size());
+                for (const Op &op : st.tokenOps) {
+                    ev.tokenEsts.push_back(
+                        evaluateTokenOp(ep.dev, op, local, opts.cache));
+                    ev.total += ev.tokenEsts.back().time * instances;
+                }
+                ev.perInstance = ev.total / (instances * tokens);
+                if (st.bucketByBound)
+                    ev.category =
+                        st.phase + "-" +
+                        boundBucket(st.tokenOps[0], ev.tokenEsts[0]);
+                break;
+            }
             double combined = 0.0;
             for (size_t pi = 0; pi < st.parts.size(); ++pi) {
                 KernelEstimate est = evaluatePart(
@@ -163,18 +237,12 @@ evaluatePlan(KernelPlan plan, const System &sys,
                 ev.partEsts.push_back(std::move(est));
             }
             ev.perInstance = combined;
-            ev.total = ev.perInstance * instances;
-            if (st.bucketByBound) {
-                // Bound-bucketed steps are single-op by construction.
-                const Op &op = st.parts[0].ops[0];
-                const char *bucket = "other";
-                if (op.kind == OpKind::Gemm ||
-                    op.kind == OpKind::FusedAttention)
-                    bucket = ev.partEsts[0].computeBound()
-                                 ? "gemm-compute"
-                                 : "gemm-memory";
-                ev.category = st.phase + "-" + bucket;
-            }
+            ev.total = ev.perInstance * instances * tokens;
+            // Bound-bucketed steps are single-op by construction.
+            if (st.bucketByBound)
+                ev.category =
+                    st.phase + "-" +
+                    boundBucket(st.parts[0].ops[0], ev.partEsts[0]);
             if (opts.detail && !st.detailLane.empty())
                 for (const Op &op : st.parts[0].ops)
                     ev.opEsts.push_back(evaluateOp(ep.dev, op));
@@ -187,7 +255,7 @@ evaluatePlan(KernelPlan plan, const System &sys,
             ev.perInstance =
                 (ev.coll.time * st.callsPerInstance) *
                 st.exposedFraction;
-            ev.total = ev.perInstance * instances;
+            ev.total = ev.perInstance * instances * tokens;
             break;
           case StepKind::Synthetic:
             if (st.synthetic == SyntheticKind::Bubble)

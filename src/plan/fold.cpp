@@ -9,6 +9,8 @@
 
 #include "plan/plan.h"
 
+#include <string_view>
+
 #include "trace/trace.h"
 #include "util/error.h"
 
@@ -17,31 +19,88 @@ namespace plan {
 
 namespace {
 
-/** Instance span of a step (coordinates stamped by the caller). */
+double
+instances(const PlanStep &st)
+{
+    return double(st.repeatLayer) * double(st.repeatMicrobatch);
+}
+
+/**
+ * Visit every (step index, token offset) pair of @p kp in the order a
+ * plan with one step per (token, op) would list them: consecutive
+ * steps sharing a token range (same step and repeatToken) are walked
+ * token-major — for each token, each step of the group in plan order.
+ */
+template <typename Fn>
+void
+forEachStepToken(const KernelPlan &kp, Fn &&fn)
+{
+    const std::vector<PlanStep> &steps = kp.steps;
+    for (size_t i = 0; i < steps.size();) {
+        size_t end = i + 1;
+        while (end < steps.size() && steps[end].step == steps[i].step &&
+               steps[end].repeatToken == steps[i].repeatToken)
+            ++end;
+        for (long long t = 0; t < steps[i].repeatToken; ++t)
+            for (size_t k = i; k < end; ++k)
+                fn(k, t);
+        i = end;
+    }
+}
+
+/** Compute estimate of token @p t of a compute step. */
+const KernelEstimate &
+tokenEstimate(const PlanStep &st, const StepEval &ev, long long t)
+{
+    return st.tokenOps.empty() ? ev.partEsts[0] : ev.tokenEsts[t];
+}
+
+/** Seconds per (microbatch, layer) instance of token @p t. */
+double
+tokenPerInstance(const PlanStep &st, const StepEval &ev, long long t)
+{
+    return st.tokenOps.empty() ? ev.perInstance : ev.tokenEsts[t].time;
+}
+
+/** Category of token @p t (a tokenOps step buckets every token). */
+std::string
+tokenCategory(const PlanStep &st, const StepEval &ev, long long t)
+{
+    if (st.tokenOps.empty() || !st.bucketByBound)
+        return ev.category;
+    return st.phase + "-" + boundBucket(st.tokenOps[t], ev.tokenEsts[t]);
+}
+
+/**
+ * Instance span of token @p t of a step (coordinates stamped by the
+ * caller).
+ */
 TraceSpan
-instanceSpan(const Device &dev, const PlanStep &st, const StepEval &ev)
+instanceSpan(const Device &dev, const PlanStep &st, const StepEval &ev,
+             long long t)
 {
     if (st.kernelDetail)
-        return kernelSpan(dev, st.name, ev.category, ev.partEsts[0]);
+        return kernelSpan(dev, st.name, tokenCategory(st, ev, t),
+                          tokenEstimate(st, ev, t));
     TraceSpan s;
     s.name = st.name;
     s.category = ev.category;
-    s.duration = ev.perInstance;
+    s.duration = tokenPerInstance(st, ev, t);
     return s;
 }
 
 /**
- * Walk the deterministic span stream of an evaluated plan: for every
- * step, first its per-op kernel-detail spans (detailLane), then its
- * instance spans in microbatch-major, layer-inner order (or one
- * layer-aggregated span per microbatch). @p fn receives
- * (lane name, span).
+ * Walk the deterministic span stream of an evaluated plan, per
+ * (step, token) in forEachStepToken order: first the step's per-op
+ * kernel-detail spans (detailLane), then its instance spans in
+ * microbatch-major, layer-inner order (or one layer-aggregated span
+ * per microbatch). @p fn receives (lane name, span).
  */
 template <typename Fn>
 void
 forEachStepSpan(const EvaluatedPlan &ep, Fn &&fn)
 {
-    for (size_t i = 0; i < ep.plan.steps.size(); ++i) {
+    forEachStepToken(ep.plan, [&](size_t i, long long t) {
         const PlanStep &st = ep.plan.steps[i];
         const StepEval &ev = ep.evals[i];
 
@@ -62,20 +121,21 @@ forEachStepSpan(const EvaluatedPlan &ep, Fn &&fn)
             // bubble (pp == 1); the optimizer span always appears.
             if (st.synthetic == SyntheticKind::Bubble &&
                 !(ev.total > 0.0))
-                continue;
+                return;
             TraceSpan s;
             s.name = st.name;
             s.category = ev.category;
             s.duration = ev.total;
             fn(st.lane, std::move(s));
-            continue;
+            return;
         }
 
+        const long long step = st.step + t;
         for (long long mb = 0; mb < st.repeatMicrobatch; ++mb) {
             if (st.aggregateLayers) {
-                TraceSpan s = instanceSpan(ep.dev, st, ev);
+                TraceSpan s = instanceSpan(ep.dev, st, ev, t);
                 const double rl = double(st.repeatLayer);
-                s.duration = ev.perInstance * rl;
+                s.duration = tokenPerInstance(st, ev, t) * rl;
                 if (s.isKernel()) {
                     s.flops *= rl;
                     for (double &b : s.bytesPerLevel)
@@ -84,21 +144,21 @@ forEachStepSpan(const EvaluatedPlan &ep, Fn &&fn)
                 }
                 if (st.coordMicrobatch)
                     s.microbatch = mb;
-                s.step = st.step;
+                s.step = step;
                 fn(st.lane, std::move(s));
                 continue;
             }
             for (long long l = 0; l < st.repeatLayer; ++l) {
-                TraceSpan s = instanceSpan(ep.dev, st, ev);
+                TraceSpan s = instanceSpan(ep.dev, st, ev, t);
                 if (st.coordMicrobatch)
                     s.microbatch = mb;
                 if (st.coordLayer)
                     s.layer = l;
-                s.step = st.step;
+                s.step = step;
                 fn(st.lane, std::move(s));
             }
         }
-    }
+    });
 }
 
 /** Emit the full span stream (lanes and counters first) into @p tr. */
@@ -166,16 +226,16 @@ FoldedInference
 foldInference(const EvaluatedPlan &ep, TraceSession *trace)
 {
     FoldedInference f;
-    for (size_t i = 0; i < ep.plan.steps.size(); ++i) {
+    forEachStepToken(ep.plan, [&](size_t i, long long t) {
         const PlanStep &st = ep.plan.steps[i];
         const StepEval &ev = ep.evals[i];
         PhaseReport &r =
             (st.phase == "decode") ? f.decode : f.prefill;
+        const double inst = instances(st);
+        const double total = tokenPerInstance(st, ev, t) * inst;
         if (st.kind == StepKind::Compute) {
-            const KernelEstimate &est = ev.partEsts[0];
-            const double inst =
-                double(st.repeatLayer) * double(st.repeatMicrobatch);
-            r.time += ev.total;
+            const KernelEstimate &est = tokenEstimate(st, ev, t);
+            r.time += total;
             r.overheadTime += est.overhead * inst;
             if (!est.memTimePerLevel.empty())
                 r.memoryTime += est.memTimePerLevel[0] * inst;
@@ -183,17 +243,20 @@ foldInference(const EvaluatedPlan &ep, TraceSession *trace)
             // overhead, as in the paper's per-kernel accounting (a
             // 3 us per-head attention kernel counts as memory-bound
             // time even though its cost is launch-dominated).
-            if (ev.category.ends_with("gemm-compute"))
-                r.computeBoundGemmTime += ev.total;
-            else if (ev.category.ends_with("gemm-memory"))
-                r.memoryBoundGemmTime += ev.total;
+            std::string_view category = ev.category;
+            if (!st.tokenOps.empty() && st.bucketByBound)
+                category = boundBucket(st.tokenOps[t], est);
+            if (category.ends_with("gemm-compute"))
+                r.computeBoundGemmTime += total;
+            else if (category.ends_with("gemm-memory"))
+                r.memoryBoundGemmTime += total;
             else
-                r.otherKernelTime += ev.total;
+                r.otherKernelTime += total;
         } else if (st.kind == StepKind::Collective) {
-            r.commTime += ev.total;
-            r.time += ev.total;
+            r.commTime += total;
+            r.time += total;
         }
-    }
+    });
     if (tracing(trace))
         emitTrace(ep, *trace);
     return f;

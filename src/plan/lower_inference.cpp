@@ -3,9 +3,11 @@
  * Lowering of an inference configuration onto the kernel-plan IR.
  *
  * Prefill lowers to one step per layer op (repeated over the L
- * layers), decode to one step per (token, op) with the L layers
- * aggregated into a single span — the historical decode-lane shape.
- * lowerDecodeToken is the one decode-step lowering: the serving and
+ * layers). Decode lowers to one token-range step per op covering every
+ * generated token, with the L layers aggregated into a single span per
+ * token — the historical decode-lane shape. Only the attention ops
+ * read the growing KV cache, so only they carry one op per token.
+ * lowerDecodeTokens is the one decode-step lowering: the serving and
  * speculative models price their steps through it too.
  * All TP/PP communication scopes go through groupScopeFor(), so a TP
  * group larger than a node correctly pays the inter-node link.
@@ -39,21 +41,40 @@ opStep(const Op &op, const char *lane, const char *phase)
 } // namespace
 
 void
-lowerDecodeToken(const TransformerConfig &cfg, const System &sys,
-                 const InferenceOptions &opts, long long token,
-                 std::vector<PlanStep> &steps)
+lowerDecodeTokens(const TransformerConfig &cfg, const System &sys,
+                  const InferenceOptions &opts, long long first,
+                  long long count, std::vector<PlanStep> &steps)
 {
     const long long L = cfg.numLayers;
     const long long tp = opts.tensorParallel;
-    const long long context = opts.promptLength + token + 1;
+    const long long context = opts.promptLength + first + 1;
+    const size_t group_begin = steps.size();
 
     for (const Op &op : decodeLayerOps(cfg, opts.batch, context, tp,
                                        opts.precision, opts.kvPrecision)) {
         PlanStep s = opStep(op, "decode", "decode");
         s.repeatLayer = L;
         s.aggregateLayers = true;
-        s.step = token;
         steps.push_back(std::move(s));
+    }
+
+    // The context-dependent steps price one op per token of the range.
+    if (count > 1) {
+        std::vector<PlanStep *> attention;
+        for (const Op &op : decodeAttentionOps(cfg, opts.batch, context,
+                                               tp, opts.kvPrecision))
+            for (size_t i = group_begin; i < steps.size(); ++i)
+                if (steps[i].name == op.name) {
+                    steps[i].parts.clear();
+                    steps[i].tokenOps.reserve(size_t(count));
+                    attention.push_back(&steps[i]);
+                }
+        for (long long t = 0; t < count; ++t) {
+            std::vector<Op> ops = decodeAttentionOps(
+                cfg, opts.batch, context + t, tp, opts.kvPrecision);
+            for (size_t j = 0; j < ops.size(); ++j)
+                attention[j]->tokenOps.push_back(std::move(ops[j]));
+        }
     }
 
     if (tp > 1) {
@@ -65,7 +86,6 @@ lowerDecodeToken(const TransformerConfig &cfg, const System &sys,
         s.phase = "decode";
         s.repeatLayer = L;
         s.aggregateLayers = true;
-        s.step = token;
         s.collective = CollectiveKind::AllReduce;
         s.volume = double(opts.batch) * double(cfg.hiddenSize) *
                    precisionBytes(opts.precision);
@@ -76,11 +96,13 @@ lowerDecodeToken(const TransformerConfig &cfg, const System &sys,
         steps.push_back(std::move(s));
     }
 
-    // Sampling head for this token.
-    for (const Op &op : headOps(cfg, opts.batch, tp, opts.precision)) {
-        PlanStep s = opStep(op, "decode", "decode");
-        s.step = token;
-        steps.push_back(std::move(s));
+    // Sampling head, once per token.
+    for (const Op &op : headOps(cfg, opts.batch, tp, opts.precision))
+        steps.push_back(opStep(op, "decode", "decode"));
+
+    for (size_t i = group_begin; i < steps.size(); ++i) {
+        steps[i].step = first;
+        steps[i].repeatToken = count;
     }
 }
 
@@ -154,8 +176,7 @@ lowerInference(const TransformerConfig &cfg, const System &sys,
         kp.steps.push_back(opStep(op, "prefill", "prefill"));
 
     // ---- Decode (auto-regressive generation) ------------------------
-    for (long long i = 0; i < opts.generateLength; ++i)
-        lowerDecodeToken(cfg, sys, opts, i, kp.steps);
+    lowerDecodeTokens(cfg, sys, opts, 0, opts.generateLength, kp.steps);
 
     // Pipeline-parallel stages add one activation hop per boundary:
     // per prefill pass and per generated token. The hop uses the

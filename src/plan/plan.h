@@ -34,6 +34,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -104,7 +105,18 @@ struct PlanStep
     long long repeatLayer = 1;
     bool coordMicrobatch = false;  ///< stamp span.microbatch
     bool coordLayer = false;       ///< stamp span.layer
-    long long step = -1;           ///< decode token index (span.step)
+    /** First decode token index (span.step); -1 outside decode. */
+    long long step = -1;
+    /**
+     * Token range: the step covers tokens step .. step+repeatToken-1
+     * and stands for repeatToken copies of itself, one per token.
+     * Consecutive steps with the same (step, repeatToken) form a
+     * group that the folders walk token-major: for each token, each
+     * step of the group in plan order. The totals, trace spans and
+     * kernel aggregates are the ones a plan with one step per
+     * (token, op) would produce.
+     */
+    long long repeatToken = 1;
     /**
      * Emit one span covering all repeatLayer instances (duration,
      * FLOPs and traffic scaled by repeatLayer) instead of one span per
@@ -125,6 +137,13 @@ struct PlanStep
     // ---- Compute payload --------------------------------------------
     std::vector<ComputePart> parts;
     PartCombine combine = PartCombine::Sum;
+    /**
+     * Context-dependent token-range steps: one op per token of the
+     * range, priced one by one, in place of parts (which is then
+     * empty). Empty on every other step, whose parts are priced once
+     * and shared by all repeatToken tokens.
+     */
+    std::vector<Op> tokenOps;
 
     // ---- Collective payload -----------------------------------------
     CollectiveKind collective = CollectiveKind::AllReduce;
@@ -156,12 +175,14 @@ struct KernelPlan
 };
 
 /**
- * Shared memo of op-list roofline evaluations, keyed by device name
- * plus a full op signature. Thread-safe; entries are deterministic
- * (any racing computation of the same key produces the identical
- * estimate), so sharing a cache across exec-layer workers cannot
- * change results. Share one cache only across evaluations against the
- * same System — the key does not hash the device parameters.
+ * Shared memo of op-list roofline evaluations, keyed by a binary
+ * signature: the bit patterns of every Op field evaluateOp reads, in
+ * fixed-size records, plus the device name. Thread-safe; entries are
+ * deterministic (any racing computation of the same key produces the
+ * identical estimate), so sharing a cache across exec-layer workers
+ * cannot change results. Share one cache only across evaluations
+ * against the same System — the key does not hash the device
+ * parameters.
  */
 class EvalCache
 {
@@ -175,7 +196,7 @@ class EvalCache
 
   private:
     mutable std::mutex mu_;
-    std::map<std::string, KernelEstimate> entries_;
+    std::unordered_map<std::string, KernelEstimate> entries_;
 };
 
 /** Evaluator knobs. */
@@ -193,10 +214,17 @@ struct EvaluateOptions
 /** Evaluation result of one step. */
 struct StepEval
 {
-    double perInstance = 0.0;  ///< seconds per (microbatch, layer)
-    double total = 0.0;        ///< perInstance * repeats (or synthetic)
-    std::string category;      ///< resolved (bucketByBound applied)
+    /**
+     * Seconds per (microbatch, layer) instance of one token; the mean
+     * over the range for a tokenOps step.
+     */
+    double perInstance = 0.0;
+    /** All instances of all tokens (or the synthetic value). */
+    double total = 0.0;
+    /** Resolved (bucketByBound applied); a tokenOps step's first token. */
+    std::string category;
     std::vector<KernelEstimate> partEsts;  ///< one per ComputePart
+    std::vector<KernelEstimate> tokenEsts; ///< one per tokenOps entry
     std::vector<KernelEstimate> opEsts;    ///< per-op detail of parts[0]
     CollectiveResult coll;     ///< collective steps only
 };
@@ -221,22 +249,38 @@ KernelPlan lowerInference(const TransformerConfig &cfg, const System &sys,
                           const InferenceOptions &opts);
 
 /**
- * Append the decode steps of generated token @p token (0-based) to
- * @p steps: the decodeLayerOps (each aggregated over the L layers) at
- * context opts.promptLength + token + 1, the per-layer TP all-reduce
- * scoped by groupScopeFor, and the sampling head. lowerInference
- * calls it once per token; the serving and speculative models price
- * one decode step with it. Does not validate its inputs.
+ * Append the decode steps of generated tokens @p first ..
+ * first+count-1 (0-based) to @p steps, one token-range step per op:
+ * the decodeLayerOps (each aggregated over the L layers), the
+ * per-layer TP all-reduce scoped by groupScopeFor, and the sampling
+ * head. Token t attends over context opts.promptLength + t + 1. With
+ * count > 1 the decodeAttentionOps steps carry one tokenOps entry per
+ * token; every other step is context-invariant and is lowered once.
+ * With count == 1 every step is a plain one-token step.
+ * lowerInference calls it once for all generated tokens; the serving
+ * and speculative models price one decode step with count == 1. Does
+ * not validate its inputs.
  */
-void lowerDecodeToken(const TransformerConfig &cfg, const System &sys,
-                      const InferenceOptions &opts, long long token,
-                      std::vector<PlanStep> &steps);
+void lowerDecodeTokens(const TransformerConfig &cfg, const System &sys,
+                       const InferenceOptions &opts, long long first,
+                       long long count, std::vector<PlanStep> &steps);
 
 // ---- Evaluate --------------------------------------------------------
 
-/** Map every step through the roofline / collective models. */
+/**
+ * Map every step through the roofline / collective models. A
+ * tokenOps step is priced once per token; every other step once.
+ */
 EvaluatedPlan evaluatePlan(KernelPlan plan, const System &sys,
                            const EvaluateOptions &opts = {});
+
+/**
+ * Bound bucket of a bucketByBound kernel: "gemm-compute" or
+ * "gemm-memory" for a GEMM or fused-attention op by its evaluated
+ * bound, "other" for every other op. The step's category is
+ * phase + "-" + bucket.
+ */
+const char *boundBucket(const Op &op, const KernelEstimate &est);
 
 // ---- Fold ------------------------------------------------------------
 
@@ -354,7 +398,8 @@ struct StepSummary
     std::string name;
     std::string category;
     std::string kind;    ///< "compute" | "collective" | "synthetic"
-    long long count = 1; ///< repeatMicrobatch * repeatLayer
+    /** repeatMicrobatch * repeatLayer * repeatToken */
+    long long count = 1;
     double perInstance = 0.0;
     double total = 0.0;
     double flops = 0.0;      ///< across all instances
@@ -364,7 +409,12 @@ struct StepSummary
     std::string detail;
 };
 
-/** Summarize every step of an evaluated plan, in plan order. */
+/**
+ * Summarize every step of an evaluated plan, in plan order: one row
+ * per step, so one row per decode op for a token range. A tokenOps
+ * row sums its work over the tokens; its category and detail are
+ * those of the range's first token.
+ */
 std::vector<StepSummary> summarizePlan(const EvaluatedPlan &ep);
 
 /** Schema "optimus-kernel-plan" version 1 document. */

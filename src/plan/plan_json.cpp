@@ -64,7 +64,7 @@ summarizePlan(const EvaluatedPlan &ep)
         r.lane = st.lane;
         r.name = st.name;
         r.category = ev.category;
-        r.count = st.repeatMicrobatch * st.repeatLayer;
+        r.count = st.repeatMicrobatch * st.repeatLayer * st.repeatToken;
         r.perInstance = ev.perInstance;
         r.total = ev.total;
         switch (st.kind) {
@@ -72,6 +72,17 @@ summarizePlan(const EvaluatedPlan &ep)
             r.kind = "compute";
             const double inst =
                 double(st.repeatLayer) * double(st.repeatMicrobatch);
+            if (!st.tokenOps.empty()) {
+                // Each token's op does its own work.
+                for (const KernelEstimate &est : ev.tokenEsts) {
+                    r.flops += est.flops * inst;
+                    if (!est.bytesPerLevel.empty())
+                        r.dramBytes += est.bytesPerLevel[0] * inst;
+                    r.overhead += est.overhead * inst;
+                }
+                r.detail = ev.tokenEsts[0].boundName(ep.dev);
+                break;
+            }
             // Under Max only the winning part runs on the critical
             // stage, so only its work is charged.
             size_t winner = 0;
@@ -90,7 +101,8 @@ summarizePlan(const EvaluatedPlan &ep)
                 if (st.combine == PartCombine::Max && pi != winner)
                     continue;
                 const KernelEstimate &est = ev.partEsts[pi];
-                const double s = st.parts[pi].scale * inst;
+                const double s =
+                    st.parts[pi].scale * inst * double(st.repeatToken);
                 r.flops += est.flops * s;
                 if (!est.bytesPerLevel.empty())
                     r.dramBytes += est.bytesPerLevel[0] * s;

@@ -297,6 +297,34 @@ decodeLayerOps(const TransformerConfig &cfg, long long batch,
 }
 
 std::vector<Op>
+decodeAttentionOps(const TransformerConfig &cfg, long long batch,
+                   long long context, long long tensor_parallel,
+                   Precision kv_precision)
+{
+    const long long hd = cfg.headDim();
+    const long long heads_local = cfg.numHeads / tensor_parallel;
+    const long long kv_local =
+        std::max<long long>(1, cfg.numKvHeads / tensor_parallel);
+    // Sliding-window attention bounds the readable cache.
+    const long long span = cfg.attentionSpan(context);
+
+    // Attention over the cache: the group's queries [g, hd] hit the
+    // shared K^T[hd, ctx] per KV head (the cache streams once per
+    // group, the GQA bandwidth saving).
+    const long long group = heads_local / kv_local;
+    std::vector<Op> ops;
+    ops.reserve(3);
+    ops.push_back(gemmOp("qk^T", group, span, hd, kv_precision,
+                         batch * kv_local));
+    ops.push_back(softmaxOp("attn-softmax",
+                            double(batch) * heads_local,
+                            double(span)));
+    ops.push_back(gemmOp("attn-v", group, hd, span, kv_precision,
+                         batch * kv_local));
+    return ops;
+}
+
+std::vector<Op>
 decodeLayerOps(const TransformerConfig &cfg, long long batch,
                long long context, long long tensor_parallel,
                Precision precision, Precision kv_precision)
@@ -312,8 +340,6 @@ decodeLayerOps(const TransformerConfig &cfg, long long batch,
     const long long heads_local = cfg.numHeads / t;
     const long long kv_local =
         std::max<long long>(1, cfg.numKvHeads / t);
-    // Sliding-window attention bounds the readable cache.
-    const long long span = cfg.attentionSpan(context);
 
     std::vector<Op> ops;
 
@@ -327,17 +353,9 @@ decodeLayerOps(const TransformerConfig &cfg, long long batch,
                                 double(batch) * 2.0 * kv_local * hd,
                                 0.0, true));
 
-    // Attention over the cache: the group's queries [g, hd] hit the
-    // shared K^T[hd, ctx] per KV head (the cache streams once per
-    // group, the GQA bandwidth saving).
-    const long long group = heads_local / kv_local;
-    ops.push_back(gemmOp("qk^T", group, span, hd, kv_precision,
-                         batch * kv_local));
-    ops.push_back(softmaxOp("attn-softmax",
-                            double(batch) * heads_local,
-                            double(span)));
-    ops.push_back(gemmOp("attn-v", group, hd, span, kv_precision,
-                         batch * kv_local));
+    for (Op &op : decodeAttentionOps(cfg, batch, context, t,
+                                     kv_precision))
+        ops.push_back(std::move(op));
 
     ops.push_back(gemmOp("attn-out", batch, h, heads_local * hd,
                          precision));

@@ -129,6 +129,19 @@ std::vector<Op> decodeLayerOps(const TransformerConfig &cfg,
                                Precision precision,
                                Precision kv_precision);
 
+/**
+ * The context-dependent part of decodeLayerOps: the qk^T, attn-softmax
+ * and attn-v ops over @p context cached tokens, the entries
+ * decodeLayerOps holds between kv-append and attn-out. Every other
+ * decode op is the same at any context. Does not validate its inputs
+ * (decodeLayerOps and the inference lowering do), so the lowering can
+ * call it once per generated token cheaply.
+ */
+std::vector<Op> decodeAttentionOps(const TransformerConfig &cfg,
+                                   long long batch, long long context,
+                                   long long tensor_parallel,
+                                   Precision kv_precision);
+
 /** LM head (logits GEMM + softmax) ops for @p tokens positions. */
 std::vector<Op> headOps(const TransformerConfig &cfg, long long tokens,
                         long long tensor_parallel, Precision precision);

@@ -5,7 +5,8 @@
  * thread counts (with a shared estimate cache), the JSON dump round
  * trips, and the communication group-scope convention is honored at
  * its boundary (including the inference per-layer TP all-reduce,
- * which used to be pinned intra-node).
+ * which used to be pinned intra-node), and a token-range decode plan
+ * evaluates and folds bit-identically to one step per (token, op).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "exec/exec.h"
 #include "hw/presets.h"
 #include "plan/plan.h"
+#include "trace/trace.h"
 #include "workload/presets.h"
 
 namespace optimus {
@@ -266,6 +268,218 @@ TEST(Plan, KernelAggregatesMatchStepStream)
         EXPECT_FALSE(a.bound.empty()) << a.key;
         // Identities are "<lane>/<name>".
         EXPECT_NE(std::string::npos, a.key.find('/')) << a.key;
+    }
+}
+
+// ---- Token-range decode ------------------------------------------------
+
+/**
+ * @p kp with every token range replaced, in place, by one-token
+ * lowerings of each of its tokens: the plan with one step per
+ * (token, op) that the token ranges stand for.
+ */
+plan::KernelPlan
+perTokenPlan(const plan::KernelPlan &kp, const TransformerConfig &cfg,
+             const System &sys, const InferenceOptions &opts)
+{
+    plan::KernelPlan ref = kp;
+    ref.steps.clear();
+    for (size_t i = 0; i < kp.steps.size();) {
+        const plan::PlanStep &st = kp.steps[i];
+        if (st.repeatToken == 1) {
+            ref.steps.push_back(st);
+            ++i;
+            continue;
+        }
+        for (long long t = st.step; t < st.step + st.repeatToken; ++t)
+            plan::lowerDecodeTokens(cfg, sys, opts, t, 1, ref.steps);
+        while (i < kp.steps.size() && kp.steps[i].step == st.step &&
+               kp.steps[i].repeatToken == st.repeatToken)
+            ++i;
+    }
+    return ref;
+}
+
+void
+expectSamePhase(const PhaseReport &a, const PhaseReport &b)
+{
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(a.computeBoundGemmTime, b.computeBoundGemmTime);
+    EXPECT_EQ(a.memoryBoundGemmTime, b.memoryBoundGemmTime);
+    EXPECT_EQ(a.otherKernelTime, b.otherKernelTime);
+    EXPECT_EQ(a.commTime, b.commTime);
+    EXPECT_EQ(a.overheadTime, b.overheadTime);
+    EXPECT_EQ(a.memoryTime, b.memoryTime);
+}
+
+/**
+ * Lower @p opts as token ranges and as one step per (token, op);
+ * both must fold, trace and aggregate bit-identically.
+ */
+void
+expectTokenRangesMatchPerTokenPlan(const TransformerConfig &cfg,
+                                   const System &sys,
+                                   const InferenceOptions &opts)
+{
+    plan::KernelPlan kp = plan::lowerInference(cfg, sys, opts);
+    plan::KernelPlan ref_kp = perTokenPlan(kp, cfg, sys, opts);
+    for (const plan::PlanStep &st : ref_kp.steps) {
+        EXPECT_EQ(1, st.repeatToken);
+        EXPECT_TRUE(st.tokenOps.empty());
+    }
+    if (opts.generateLength > 1) {
+        EXPECT_LT(kp.steps.size(), ref_kp.steps.size());
+    }
+
+    plan::EvaluatedPlan ep = plan::evaluatePlan(std::move(kp), sys);
+    plan::EvaluatedPlan ref = plan::evaluatePlan(std::move(ref_kp), sys);
+
+    TraceSession trace, ref_trace;
+    plan::FoldedInference f = plan::foldInference(ep, &trace);
+    plan::FoldedInference rf = plan::foldInference(ref, &ref_trace);
+    expectSamePhase(rf.prefill, f.prefill);
+    expectSamePhase(rf.decode, f.decode);
+
+    ASSERT_EQ(ref_trace.lanes().size(), trace.lanes().size());
+    for (size_t i = 0; i < trace.lanes().size(); ++i)
+        EXPECT_EQ(ref_trace.lanes()[i].name, trace.lanes()[i].name);
+    const std::vector<TraceSpan> &spans = trace.spans();
+    const std::vector<TraceSpan> &ref_spans = ref_trace.spans();
+    ASSERT_EQ(ref_spans.size(), spans.size());
+    for (size_t i = 0; i < spans.size(); ++i) {
+        SCOPED_TRACE("span " + std::to_string(i));
+        EXPECT_EQ(ref_spans[i].lane, spans[i].lane);
+        EXPECT_EQ(ref_spans[i].name, spans[i].name);
+        EXPECT_EQ(ref_spans[i].category, spans[i].category);
+        EXPECT_EQ(ref_spans[i].start, spans[i].start);
+        EXPECT_EQ(ref_spans[i].duration, spans[i].duration);
+        EXPECT_EQ(ref_spans[i].step, spans[i].step);
+        EXPECT_EQ(ref_spans[i].flops, spans[i].flops);
+        EXPECT_EQ(ref_spans[i].bytesPerLevel, spans[i].bytesPerLevel);
+        EXPECT_EQ(ref_spans[i].bound, spans[i].bound);
+    }
+
+    std::vector<plan::KernelAggregate> aggs = plan::kernelAggregates(ep);
+    std::vector<plan::KernelAggregate> ref_aggs =
+        plan::kernelAggregates(ref);
+    ASSERT_EQ(ref_aggs.size(), aggs.size());
+    for (size_t i = 0; i < aggs.size(); ++i) {
+        SCOPED_TRACE(ref_aggs[i].key);
+        EXPECT_EQ(ref_aggs[i].key, aggs[i].key);
+        EXPECT_EQ(ref_aggs[i].category, aggs[i].category);
+        EXPECT_EQ(ref_aggs[i].count, aggs[i].count);
+        EXPECT_EQ(ref_aggs[i].time, aggs[i].time);
+        EXPECT_EQ(ref_aggs[i].flops, aggs[i].flops);
+        EXPECT_EQ(ref_aggs[i].dramBytes, aggs[i].dramBytes);
+        EXPECT_EQ(ref_aggs[i].overhead, aggs[i].overhead);
+        EXPECT_EQ(ref_aggs[i].bound, aggs[i].bound);
+    }
+}
+
+InferenceOptions
+decodeOptions(long long generate)
+{
+    InferenceOptions opts;
+    opts.batch = 2;
+    opts.promptLength = 128;
+    opts.generateLength = generate;
+    return opts;
+}
+
+TEST(TokenRangeDecode, MatchesPerTokenPlanLlama2_13b)
+{
+    expectTokenRangesMatchPerTokenPlan(models::llama2_13b(),
+                                       presets::dgxA100(1),
+                                       decodeOptions(48));
+}
+
+TEST(TokenRangeDecode, MatchesPerTokenPlanTp16AcrossNodes)
+{
+    InferenceOptions opts = decodeOptions(24);
+    opts.tensorParallel = 16;
+    expectTokenRangesMatchPerTokenPlan(models::llama2_70b(),
+                                       presets::dgxA100(2), opts);
+}
+
+TEST(TokenRangeDecode, MatchesPerTokenPlanPipelineFp8Kv)
+{
+    InferenceOptions opts = decodeOptions(24);
+    opts.tensorParallel = 4;
+    opts.pipelineParallel = 2;
+    opts.kvPrecision = Precision::FP8;
+    expectTokenRangesMatchPerTokenPlan(models::llama3_70b(),
+                                       presets::dgxA100(1), opts);
+}
+
+TEST(TokenRangeDecode, MatchesPerTokenPlanAcrossSlidingWindow)
+{
+    // The window is crossed after 16 of the 48 generated tokens; past
+    // it the attention ops repeat and hit the memo.
+    TransformerConfig cfg = models::mixtral8x7b();
+    InferenceOptions opts = decodeOptions(48);
+    cfg.slidingWindow = opts.promptLength + 16;
+    expectTokenRangesMatchPerTokenPlan(cfg, presets::dgxA100(1), opts);
+}
+
+TEST(TokenRangeDecode, MatchesPerTokenPlanOneToken)
+{
+    expectTokenRangesMatchPerTokenPlan(models::llama2_13b(),
+                                       presets::dgxA100(1),
+                                       decodeOptions(1));
+}
+
+TEST(TokenRangeDecode, PlanSizeIndependentOfGeneratedTokens)
+{
+    TransformerConfig cfg = models::llama2_13b();
+    System sys = presets::dgxA100(1);
+    plan::KernelPlan k64 =
+        plan::lowerInference(cfg, sys, decodeOptions(64));
+    plan::KernelPlan k4096 =
+        plan::lowerInference(cfg, sys, decodeOptions(4096));
+    EXPECT_EQ(k64.steps.size(), k4096.steps.size());
+    EXPECT_LT(k4096.steps.size(), 64u);
+
+    size_t per_token_steps = 0;
+    for (const plan::PlanStep &st : k4096.steps) {
+        if (st.tokenOps.empty())
+            continue;
+        ++per_token_steps;
+        EXPECT_EQ(4096u, st.tokenOps.size()) << st.name;
+        EXPECT_TRUE(st.parts.empty()) << st.name;
+    }
+    EXPECT_EQ(3u, per_token_steps);  // qk^T, attn-softmax, attn-v
+}
+
+TEST(TokenRangeDecode, KernelsDumpTotalsMatchPerTokenPlan)
+{
+    TransformerConfig cfg = models::llama2_13b();
+    System sys = presets::dgxA100(1);
+    for (long long generate : {64LL, 4096LL}) {
+        SCOPED_TRACE("generate " + std::to_string(generate));
+        InferenceOptions opts;
+        opts.generateLength = generate;
+        plan::KernelPlan kp = plan::lowerInference(cfg, sys, opts);
+        plan::KernelPlan ref_kp = perTokenPlan(kp, cfg, sys, opts);
+        JsonValue doc = plan::planJson(plan::evaluatePlan(kp, sys));
+        JsonValue ref =
+            plan::planJson(plan::evaluatePlan(std::move(ref_kp), sys));
+        for (const char *field : {"time", "flops", "dram_bytes"})
+            EXPECT_NEAR(ref.at("totals").at(field).asNumber(),
+                        doc.at("totals").at(field).asNumber(),
+                        1e-12 * ref.at("totals").at(field).asNumber())
+                << field;
+
+        // A range row counts every (layer, token) instance.
+        for (const JsonValue &row : doc.at("steps").asArray())
+            if (row.at("lane").asString() == "decode" &&
+                row.at("name").asString() == "qk^T") {
+                EXPECT_EQ(double(cfg.numLayers * generate),
+                          row.at("count").asNumber());
+                expectNearRel(row.at("total_s").asNumber() /
+                                  row.at("count").asNumber(),
+                              row.at("per_instance_s").asNumber(),
+                              1e-12);
+            }
     }
 }
 

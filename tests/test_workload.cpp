@@ -264,6 +264,81 @@ TEST(DecodeGraph, GqaShrinksKvAppend)
     EXPECT_DOUBLE_EQ(kv_elems(gqa), kv_elems(mha) / 8.0);
 }
 
+/** Every Op field, compared exactly. */
+void
+expectSameOp(const Op &a, const Op &b)
+{
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.gemm.m, b.gemm.m);
+    EXPECT_EQ(a.gemm.n, b.gemm.n);
+    EXPECT_EQ(a.gemm.k, b.gemm.k);
+    EXPECT_EQ(a.gemm.precision, b.gemm.precision);
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.launchCount, b.launchCount);
+    EXPECT_EQ(a.rows, b.rows);
+    EXPECT_EQ(a.cols, b.cols);
+    EXPECT_EQ(a.elements, b.elements);
+    EXPECT_EQ(a.flopsPerElement, b.flopsPerElement);
+    EXPECT_EQ(a.fusedFlops, b.fusedFlops);
+    EXPECT_EQ(a.fusedDramBytes, b.fusedDramBytes);
+    EXPECT_EQ(a.fusedOnChipBytes, b.fusedOnChipBytes);
+    EXPECT_EQ(a.fusedPrecision, b.fusedPrecision);
+    EXPECT_EQ(a.streamBytes, b.streamBytes);
+    EXPECT_EQ(a.streamFlops, b.streamFlops);
+    EXPECT_EQ(a.streamPrecision, b.streamPrecision);
+    EXPECT_EQ(a.fused, b.fused);
+}
+
+TEST(DecodeGraph, OnlyAttentionOpsDependOnContext)
+{
+    // The token-range decode lowering prices every decode op but
+    // decodeAttentionOps once per generation; this is the invariance
+    // it relies on.
+    for (const TransformerConfig &cfg :
+         {models::llama2_7b(), models::llama2_70b(),
+          models::mixtral8x7b()}) {
+        SCOPED_TRACE(cfg.name);
+        const long long tp = 2;
+        std::vector<Op> short_ctx = decodeLayerOps(
+            cfg, 4, 1, tp, Precision::FP16, Precision::FP8);
+        std::vector<Op> long_ctx = decodeLayerOps(
+            cfg, 4, 8192, tp, Precision::FP16, Precision::FP8);
+        ASSERT_EQ(short_ctx.size(), long_ctx.size());
+
+        for (long long context : {1LL, 8192LL}) {
+            const std::vector<Op> &layer =
+                context == 1 ? short_ctx : long_ctx;
+            std::vector<Op> attn = decodeAttentionOps(
+                cfg, 4, context, tp, Precision::FP8);
+            ASSERT_EQ(3u, attn.size());
+            EXPECT_EQ("qk^T", attn[0].name);
+            EXPECT_EQ("attn-softmax", attn[1].name);
+            EXPECT_EQ("attn-v", attn[2].name);
+            size_t matched = 0;
+            for (const Op &op : layer)
+                for (const Op &a : attn)
+                    if (op.name == a.name) {
+                        expectSameOp(a, op);
+                        ++matched;
+                    }
+            EXPECT_EQ(attn.size(), matched);
+        }
+
+        size_t invariant = 0;
+        for (size_t i = 0; i < short_ctx.size(); ++i) {
+            const std::string &name = short_ctx[i].name;
+            if (name == "qk^T" || name == "attn-softmax" ||
+                name == "attn-v")
+                continue;
+            SCOPED_TRACE(name);
+            expectSameOp(short_ctx[i], long_ctx[i]);
+            ++invariant;
+        }
+        EXPECT_EQ(short_ctx.size() - 3, invariant);
+    }
+}
+
 TEST(HeadGraph, LmHeadShape)
 {
     TransformerConfig cfg = models::gpt22b();
