@@ -8,9 +8,9 @@ double
 Device::matrixFlops(Precision p) const
 {
     auto it = matrixThroughput.find(p);
-    checkConfig(it != matrixThroughput.end(),
-                name + ": matrix engine does not support " +
-                precisionName(p));
+    if (it == matrixThroughput.end())
+        throw ConfigError(name + ": matrix engine does not support " +
+                          precisionName(p));
     return it->second;
 }
 
@@ -23,9 +23,9 @@ Device::vectorFlops(Precision p) const
     // Vector ops are routinely run at a wider precision than the
     // matrix math; fall back to fp32 if the exact entry is missing.
     it = vectorThroughput.find(Precision::FP32);
-    checkConfig(it != vectorThroughput.end(),
-                name + ": no vector throughput for " + precisionName(p) +
-                " and no fp32 fallback");
+    if (it == vectorThroughput.end())
+        throw ConfigError(name + ": no vector throughput for " +
+                          precisionName(p) + " and no fp32 fallback");
     return it->second;
 }
 
@@ -38,7 +38,8 @@ Device::supportsMatrix(Precision p) const
 const MemoryLevel &
 Device::dram() const
 {
-    checkConfig(!mem.empty(), name + ": device has no memory levels");
+    if (mem.empty())
+        throw ConfigError(name + ": device has no memory levels");
     return mem.front();
 }
 

@@ -3,13 +3,17 @@
  * The single evaluator: maps every PlanStep through the roofline
  * (workload/graph.h) and collective (comm/collective.h) models.
  *
- * Op-list evaluations are memoized under a binary signature of their
- * Op fields — always within one plan (the recompute step reuses the
- * forward estimate, a sliding window repeats the attention ops once
- * the context passes it), and optionally across plans through a
- * shared EvalCache (planner candidates differing only in DP degree
- * lower to identical op lists). Cached values are deterministic, so
- * neither memo level can change results at any thread count.
+ * Compute-part evaluations are memoized under a binary signature of
+ * their Op fields — always within one plan (the recompute step reuses
+ * the forward estimate), and optionally across plans through a shared
+ * EvalCache (planner candidates differing only in DP degree lower to
+ * identical op lists). Cached values are deterministic, so neither
+ * memo level can change results at any thread count.
+ *
+ * The per-token ops of a decode token range (tokenOps) skip both
+ * memos: their contexts almost never repeat. The one repeat, a
+ * sliding window the context has passed, is caught by comparing each
+ * token's op with the previous token's and reusing its estimate.
  */
 
 #include "plan/plan.h"
@@ -59,6 +63,7 @@ namespace {
 struct OpRecord
 {
     std::uint64_t f[19];
+    bool operator==(const OpRecord &) const = default;
 };
 static_assert(sizeof(OpRecord) == 19 * sizeof(std::uint64_t));
 
@@ -163,26 +168,48 @@ evaluatePart(const Device &dev, const ComputePart &part,
     return est;
 }
 
-/** Memoized evaluation of one tokenOps entry. */
-KernelEstimate
-evaluateTokenOp(const Device &dev, const Op &op, LocalMemo &local,
-                EvalCache *shared)
+/**
+ * Price every tokenOps entry of @p st into @p ev. A token whose op is
+ * bit-equal to the previous token's (a saturated sliding window)
+ * reuses that token's estimate.
+ */
+void
+evaluateTokenOps(const Device &dev, const PlanStep &st, StepEval &ev)
 {
-    KernelEstimate est =
-        memoized(opsSignature(dev, &op, 1), local, shared,
-                 [&] { return evaluateOp(dev, op); });
-    est.kernel = op.name;
-    return est;
+    ev.tokenEsts.reserve(st.tokenOps.size());
+    OpRecord prev{};
+    for (const Op &op : st.tokenOps) {
+        const OpRecord rec = opRecord(op);
+        if (!ev.tokenEsts.empty() && rec == prev) {
+            ev.tokenEsts.push_back(ev.tokenEsts.back());
+        } else {
+            ev.tokenEsts.push_back(evaluateOp(dev, op));
+            prev = rec;
+        }
+        ev.tokenEsts.back().kernel = op.name;
+    }
 }
 
 } // namespace
 
-const char *
+BoundBucket
 boundBucket(const Op &op, const KernelEstimate &est)
 {
     if (op.kind != OpKind::Gemm && op.kind != OpKind::FusedAttention)
-        return "other";
-    return est.computeBound() ? "gemm-compute" : "gemm-memory";
+        return BoundBucket::Other;
+    return est.computeBound() ? BoundBucket::GemmCompute
+                              : BoundBucket::GemmMemory;
+}
+
+const char *
+boundBucketName(BoundBucket b)
+{
+    switch (b) {
+      case BoundBucket::GemmCompute: return "gemm-compute";
+      case BoundBucket::GemmMemory: return "gemm-memory";
+      case BoundBucket::Other: break;
+    }
+    return "other";
 }
 
 EvaluatedPlan
@@ -210,17 +237,14 @@ evaluatePlan(KernelPlan plan, const System &sys,
           case StepKind::Compute: {
             if (!st.tokenOps.empty()) {
                 // Context-dependent: price every token's op.
-                ev.tokenEsts.reserve(st.tokenOps.size());
-                for (const Op &op : st.tokenOps) {
-                    ev.tokenEsts.push_back(
-                        evaluateTokenOp(ep.dev, op, local, opts.cache));
-                    ev.total += ev.tokenEsts.back().time * instances;
-                }
+                evaluateTokenOps(ep.dev, st, ev);
+                for (const KernelEstimate &est : ev.tokenEsts)
+                    ev.total += est.time * instances;
                 ev.perInstance = ev.total / (instances * tokens);
                 if (st.bucketByBound)
-                    ev.category =
-                        st.phase + "-" +
-                        boundBucket(st.tokenOps[0], ev.tokenEsts[0]);
+                    ev.category = st.phase + "-" +
+                                  boundBucketName(boundBucket(
+                                      st.tokenOps[0], ev.tokenEsts[0]));
                 break;
             }
             double combined = 0.0;
@@ -240,9 +264,9 @@ evaluatePlan(KernelPlan plan, const System &sys,
             ev.total = ev.perInstance * instances * tokens;
             // Bound-bucketed steps are single-op by construction.
             if (st.bucketByBound)
-                ev.category =
-                    st.phase + "-" +
-                    boundBucket(st.parts[0].ops[0], ev.partEsts[0]);
+                ev.category = st.phase + "-" +
+                              boundBucketName(boundBucket(
+                                  st.parts[0].ops[0], ev.partEsts[0]));
             if (opts.detail && !st.detailLane.empty())
                 for (const Op &op : st.parts[0].ops)
                     ev.opEsts.push_back(evaluateOp(ep.dev, op));

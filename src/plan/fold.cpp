@@ -9,6 +9,7 @@
 
 #include "plan/plan.h"
 
+#include <array>
 #include <string_view>
 
 #include "trace/trace.h"
@@ -62,13 +63,37 @@ tokenPerInstance(const PlanStep &st, const StepEval &ev, long long t)
     return st.tokenOps.empty() ? ev.perInstance : ev.tokenEsts[t].time;
 }
 
-/** Category of token @p t (a tokenOps step buckets every token). */
-std::string
-tokenCategory(const PlanStep &st, const StepEval &ev, long long t)
+/** True when every token of @p st is bucketed by its own bound. */
+bool
+bucketsPerToken(const PlanStep &st)
 {
-    if (st.tokenOps.empty() || !st.bucketByBound)
+    return !st.tokenOps.empty() && st.bucketByBound;
+}
+
+/** A step's category per BoundBucket: phase + "-" + bucket name. */
+using BucketCategories = std::array<std::string, 3>;
+
+BucketCategories
+bucketCategories(const PlanStep &st)
+{
+    BucketCategories out;
+    for (BoundBucket b : {BoundBucket::GemmCompute,
+                          BoundBucket::GemmMemory, BoundBucket::Other})
+        out[size_t(b)] = st.phase + "-" + boundBucketName(b);
+    return out;
+}
+
+/**
+ * Category of token @p t: a per-token bucketed step picks it from
+ * @p cats, every other step has one category.
+ */
+const std::string &
+tokenCategory(const PlanStep &st, const StepEval &ev,
+              const BucketCategories &cats, long long t)
+{
+    if (!bucketsPerToken(st))
         return ev.category;
-    return st.phase + "-" + boundBucket(st.tokenOps[t], ev.tokenEsts[t]);
+    return cats[size_t(boundBucket(st.tokenOps[t], ev.tokenEsts[t]))];
 }
 
 /**
@@ -77,10 +102,10 @@ tokenCategory(const PlanStep &st, const StepEval &ev, long long t)
  */
 TraceSpan
 instanceSpan(const Device &dev, const PlanStep &st, const StepEval &ev,
-             long long t)
+             const BucketCategories &cats, long long t)
 {
     if (st.kernelDetail)
-        return kernelSpan(dev, st.name, tokenCategory(st, ev, t),
+        return kernelSpan(dev, st.name, tokenCategory(st, ev, cats, t),
                           tokenEstimate(st, ev, t));
     TraceSpan s;
     s.name = st.name;
@@ -100,6 +125,11 @@ template <typename Fn>
 void
 forEachStepSpan(const EvaluatedPlan &ep, Fn &&fn)
 {
+    std::vector<BucketCategories> cats(ep.plan.steps.size());
+    for (size_t i = 0; i < ep.plan.steps.size(); ++i)
+        if (bucketsPerToken(ep.plan.steps[i]))
+            cats[i] = bucketCategories(ep.plan.steps[i]);
+
     forEachStepToken(ep.plan, [&](size_t i, long long t) {
         const PlanStep &st = ep.plan.steps[i];
         const StepEval &ev = ep.evals[i];
@@ -133,7 +163,7 @@ forEachStepSpan(const EvaluatedPlan &ep, Fn &&fn)
         const long long step = st.step + t;
         for (long long mb = 0; mb < st.repeatMicrobatch; ++mb) {
             if (st.aggregateLayers) {
-                TraceSpan s = instanceSpan(ep.dev, st, ev, t);
+                TraceSpan s = instanceSpan(ep.dev, st, ev, cats[i], t);
                 const double rl = double(st.repeatLayer);
                 s.duration = tokenPerInstance(st, ev, t) * rl;
                 if (s.isKernel()) {
@@ -149,7 +179,7 @@ forEachStepSpan(const EvaluatedPlan &ep, Fn &&fn)
                 continue;
             }
             for (long long l = 0; l < st.repeatLayer; ++l) {
-                TraceSpan s = instanceSpan(ep.dev, st, ev, t);
+                TraceSpan s = instanceSpan(ep.dev, st, ev, cats[i], t);
                 if (st.coordMicrobatch)
                     s.microbatch = mb;
                 if (st.coordLayer)
@@ -196,6 +226,21 @@ breakdownField(TrainingBreakdown &t, const std::string &category)
     return nullptr;
 }
 
+/** PhaseReport field accumulating the kernel time of bucket @p b. */
+double PhaseReport::*
+bucketField(BoundBucket b)
+{
+    switch (b) {
+      case BoundBucket::GemmCompute:
+        return &PhaseReport::computeBoundGemmTime;
+      case BoundBucket::GemmMemory:
+        return &PhaseReport::memoryBoundGemmTime;
+      case BoundBucket::Other:
+        break;
+    }
+    return &PhaseReport::otherKernelTime;
+}
+
 } // namespace
 
 FoldedTraining
@@ -226,11 +271,32 @@ FoldedInference
 foldInference(const EvaluatedPlan &ep, TraceSession *trace)
 {
     FoldedInference f;
+    // Per-step invariants, resolved once: the phase report a step
+    // feeds, and the bucket field of a step whose tokens share one
+    // category (null when every token is bucketed by its own bound).
+    struct StepTarget
+    {
+        PhaseReport *report;
+        double PhaseReport::*bucket;
+    };
+    std::vector<StepTarget> targets;
+    targets.reserve(ep.plan.steps.size());
+    for (size_t i = 0; i < ep.plan.steps.size(); ++i) {
+        const PlanStep &st = ep.plan.steps[i];
+        const std::string_view category = ep.evals[i].category;
+        BoundBucket b = BoundBucket::Other;
+        if (category.ends_with("gemm-compute"))
+            b = BoundBucket::GemmCompute;
+        else if (category.ends_with("gemm-memory"))
+            b = BoundBucket::GemmMemory;
+        targets.push_back({st.phase == "decode" ? &f.decode : &f.prefill,
+                           bucketsPerToken(st) ? nullptr : bucketField(b)});
+    }
+
     forEachStepToken(ep.plan, [&](size_t i, long long t) {
         const PlanStep &st = ep.plan.steps[i];
         const StepEval &ev = ep.evals[i];
-        PhaseReport &r =
-            (st.phase == "decode") ? f.decode : f.prefill;
+        PhaseReport &r = *targets[i].report;
         const double inst = instances(st);
         const double total = tokenPerInstance(st, ev, t) * inst;
         if (st.kind == StepKind::Compute) {
@@ -243,15 +309,10 @@ foldInference(const EvaluatedPlan &ep, TraceSession *trace)
             // overhead, as in the paper's per-kernel accounting (a
             // 3 us per-head attention kernel counts as memory-bound
             // time even though its cost is launch-dominated).
-            std::string_view category = ev.category;
-            if (!st.tokenOps.empty() && st.bucketByBound)
-                category = boundBucket(st.tokenOps[t], est);
-            if (category.ends_with("gemm-compute"))
-                r.computeBoundGemmTime += total;
-            else if (category.ends_with("gemm-memory"))
-                r.memoryBoundGemmTime += total;
-            else
-                r.otherKernelTime += total;
+            double PhaseReport::*bucket = targets[i].bucket;
+            if (bucket == nullptr)
+                bucket = bucketField(boundBucket(st.tokenOps[t], est));
+            r.*bucket += total;
         } else if (st.kind == StepKind::Collective) {
             r.commTime += total;
             r.time += total;

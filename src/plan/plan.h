@@ -274,13 +274,19 @@ void lowerDecodeTokens(const TransformerConfig &cfg, const System &sys,
 EvaluatedPlan evaluatePlan(KernelPlan plan, const System &sys,
                            const EvaluateOptions &opts = {});
 
+/** The inference PhaseReport kernel buckets. */
+enum class BoundBucket { GemmCompute, GemmMemory, Other };
+
 /**
- * Bound bucket of a bucketByBound kernel: "gemm-compute" or
- * "gemm-memory" for a GEMM or fused-attention op by its evaluated
- * bound, "other" for every other op. The step's category is
- * phase + "-" + bucket.
+ * Bound bucket of a bucketByBound kernel: GemmCompute or GemmMemory
+ * for a GEMM or fused-attention op by its evaluated bound, Other for
+ * every other op. The step's category is
+ * phase + "-" + boundBucketName(bucket).
  */
-const char *boundBucket(const Op &op, const KernelEstimate &est);
+BoundBucket boundBucket(const Op &op, const KernelEstimate &est);
+
+/** "gemm-compute", "gemm-memory" or "other". */
+const char *boundBucketName(BoundBucket b);
 
 // ---- Fold ------------------------------------------------------------
 

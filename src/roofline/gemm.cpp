@@ -166,6 +166,22 @@ searchTile(const GemmShape &shape, double capacity_bytes,
     checkPositive(shape.k, "gemm k");
     checkPositive(capacity_bytes, "tile search capacity");
 
+    const double elem = precisionBytes(shape.precision);
+    const double budget = capacity_bytes * fill_factor / elem;
+
+    // Full-tile shortcut: when the (m, n) output tile leaves room for
+    // the whole reduction, the scan's (m, n) candidate gets tk = k and
+    // compulsory traffic. Every other candidate has tm < m or tn < n,
+    // so one of its ceilDiv terms is >= 2 and its traffic is strictly
+    // higher — the scan would return exactly this tile.
+    const double full_remaining =
+        budget - double(shape.m) * double(shape.n);
+    if (full_remaining > 0.0 &&
+        static_cast<long long>(full_remaining / (shape.m + shape.n)) >=
+            shape.k)
+        return {shape.m, shape.n, shape.k,
+                tileTraffic(shape, shape.m, shape.n, shape.k, elem)};
+
     const bool use_cache =
         tile_cache_on.load(std::memory_order_relaxed);
     TileKey key{shape.m, shape.n, shape.k,
@@ -180,9 +196,6 @@ searchTile(const GemmShape &shape, double capacity_bytes,
             return it->second;
         }
     }
-
-    const double elem = precisionBytes(shape.precision);
-    const double budget = capacity_bytes * fill_factor / elem;
 
     TileChoice best;
     best.traffic = std::numeric_limits<double>::infinity();

@@ -69,10 +69,18 @@ struct TileChoice
  * the C tile is read+written once per k chunk (once total when the
  * whole reduction fits, tk = k).
  *
- * Results are memoized in a process-wide, thread-safe cache keyed by
- * (m, n, k, precision, capacity, fill_factor); searchTile is a pure
- * function of that key, so the cache never changes results. See
- * tileCacheStats() / tileCacheClear().
+ * When the whole problem fits — the (m, n) output tile leaves room for
+ * tk = k in the budget capacity*fill/elem — the answer is the full
+ * tile at compulsory traffic, returned directly without a scan: every
+ * other candidate re-reads A or B at least twice. Per-token decode
+ * attention (a few query rows against a few thousand keys) usually
+ * takes this path.
+ *
+ * Only calls that miss the shortcut reach the memo: a process-wide,
+ * thread-safe cache keyed by (m, n, k, precision, capacity,
+ * fill_factor). searchTile is a pure function of that key, so the
+ * cache never changes results. A shortcut return counts as neither a
+ * hit nor a miss. See tileCacheStats() / tileCacheClear().
  */
 TileChoice searchTile(const GemmShape &shape, double capacity_bytes,
                       double fill_factor = 0.5);

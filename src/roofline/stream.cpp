@@ -8,8 +8,10 @@ KernelEstimate
 estimateStream(const Device &dev, const std::string &label, double bytes,
                double flops, Precision precision, bool launch)
 {
-    checkConfig(bytes >= 0.0, label + ": bytes must be non-negative");
-    checkConfig(flops >= 0.0, label + ": flops must be non-negative");
+    if (!(bytes >= 0.0))
+        throw ConfigError(label + ": bytes must be non-negative");
+    if (!(flops >= 0.0))
+        throw ConfigError(label + ": flops must be non-negative");
 
     KernelEstimate est;
     est.kernel = label;

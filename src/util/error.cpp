@@ -3,25 +3,25 @@
 namespace optimus {
 
 void
-checkConfig(bool condition, const std::string &message)
+checkConfig(bool condition, std::string_view message)
 {
     if (!condition)
-        throw ConfigError(message);
+        throw ConfigError(std::string(message));
 }
 
 void
-checkPositive(double value, const std::string &name)
+checkPositive(double value, std::string_view name)
 {
     if (!(value > 0.0))
-        throw ConfigError(name + " must be positive, got " +
+        throw ConfigError(std::string(name) + " must be positive, got " +
                           std::to_string(value));
 }
 
 void
-checkPositive(long long value, const std::string &name)
+checkPositive(long long value, std::string_view name)
 {
     if (value <= 0)
-        throw ConfigError(name + " must be positive, got " +
+        throw ConfigError(std::string(name) + " must be positive, got " +
                           std::to_string(value));
 }
 

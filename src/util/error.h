@@ -14,6 +14,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace optimus {
 
@@ -36,13 +37,13 @@ class ModelError : public std::logic_error
 };
 
 /** Throw ConfigError with @p message unless @p condition holds. */
-void checkConfig(bool condition, const std::string &message);
+void checkConfig(bool condition, std::string_view message);
 
 /** Throw ConfigError unless @p value is strictly positive. */
-void checkPositive(double value, const std::string &name);
+void checkPositive(double value, std::string_view name);
 
 /** Throw ConfigError unless @p value is a positive integer. */
-void checkPositive(long long value, const std::string &name);
+void checkPositive(long long value, std::string_view name);
 
 } // namespace optimus
 

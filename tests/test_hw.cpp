@@ -4,9 +4,12 @@
  * networks, systems and vendor presets.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "hw/presets.h"
+#include "roofline/stream.h"
 #include "util/error.h"
 #include "util/units.h"
 
@@ -55,6 +58,56 @@ TEST(Device, UnsupportedPrecisionThrows)
     // Vector fallback: unknown precision falls back to fp32.
     EXPECT_DOUBLE_EQ(d.vectorFlops(Precision::FP8),
                      d.vectorFlops(Precision::FP32));
+}
+
+/** what() of the ConfigError @p fn throws; empty when it returns. */
+template <typename Fn>
+std::string
+configErrorText(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Diagnostics, DeviceThroughputMessages)
+{
+    Device d = presets::a100_80gb();
+    EXPECT_EQ("config error: A100-80GB: matrix engine does not support fp8",
+              configErrorText([&] { d.matrixFlops(Precision::FP8); }));
+    d.vectorThroughput.erase(Precision::FP32);
+    EXPECT_EQ("config error: A100-80GB: no vector throughput for int8 "
+              "and no fp32 fallback",
+              configErrorText([&] { d.vectorFlops(Precision::INT8); }));
+}
+
+TEST(Diagnostics, StreamMessages)
+{
+    Device d = presets::a100_80gb();
+    EXPECT_EQ("config error: copy: bytes must be non-negative",
+              configErrorText([&] {
+                  estimateStream(d, "copy", -1.0, 0.0, Precision::FP16);
+              }));
+    EXPECT_EQ("config error: copy: flops must be non-negative",
+              configErrorText([&] {
+                  estimateStream(d, "copy", 1.0, -1.0, Precision::FP16);
+              }));
+}
+
+TEST(Diagnostics, CheckPositiveMessages)
+{
+    EXPECT_EQ("config error: tile search capacity must be positive, "
+              "got -2.000000",
+              configErrorText(
+                  [] { checkPositive(-2.0, "tile search capacity"); }));
+    const std::string name = "A100-80GB L2 capacity";
+    EXPECT_EQ("config error: A100-80GB L2 capacity must be positive, "
+              "got 0",
+              configErrorText([&] { checkPositive(0LL, name); }));
+    EXPECT_EQ("", configErrorText([&] { checkPositive(1LL, name); }));
 }
 
 TEST(Device, ValidateRejectsBrokenHierarchy)

@@ -18,7 +18,9 @@
 #include "comm/collective.h"
 #include "exec/exec.h"
 #include "hw/presets.h"
+#include "inference/engine.h"
 #include "plan/plan.h"
+#include "roofline/gemm.h"
 #include "trace/trace.h"
 #include "workload/presets.h"
 
@@ -414,7 +416,7 @@ TEST(TokenRangeDecode, MatchesPerTokenPlanPipelineFp8Kv)
 TEST(TokenRangeDecode, MatchesPerTokenPlanAcrossSlidingWindow)
 {
     // The window is crossed after 16 of the 48 generated tokens; past
-    // it the attention ops repeat and hit the memo.
+    // it the attention ops repeat and reuse the previous estimate.
     TransformerConfig cfg = models::mixtral8x7b();
     InferenceOptions opts = decodeOptions(48);
     cfg.slidingWindow = opts.promptLength + 16;
@@ -448,6 +450,26 @@ TEST(TokenRangeDecode, PlanSizeIndependentOfGeneratedTokens)
         EXPECT_TRUE(st.parts.empty()) << st.name;
     }
     EXPECT_EQ(3u, per_token_steps);  // qk^T, attn-softmax, attn-v
+}
+
+TEST(TokenRangeDecode, NoTileSearchPerToken)
+{
+    // Per-token attention fits every cache level whole, so the tile
+    // searches of an inference eval (prefill and context-invariant
+    // decode ops) do not grow with the number of generated tokens.
+    TransformerConfig cfg = models::llama2_13b();
+    System sys = presets::dgxA100(1);
+    auto lookups = [&](long long generate) {
+        tileCacheClear();
+        InferenceOptions opts;
+        opts.generateLength = generate;
+        evaluateInference(cfg, sys, opts);
+        TileCacheStats s = tileCacheStats();
+        return s.hits + s.misses;
+    };
+    const unsigned long long at64 = lookups(64);
+    EXPECT_GT(at64, 0u);
+    EXPECT_EQ(at64, lookups(4096));
 }
 
 TEST(TokenRangeDecode, KernelsDumpTotalsMatchPerTokenPlan)

@@ -4,7 +4,11 @@
  * estimation, GEMV utilization models and stream kernels.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -77,6 +81,119 @@ TEST(TileSearch, TileRespectsCapacity)
     double footprint = (double(t.tm) * t.tk + double(t.tk) * t.tn +
                         double(t.tm) * t.tn) * 2.0;
     EXPECT_LE(footprint, 1 * MiB * 0.5 + 1.0);
+}
+
+/**
+ * Reference copy of searchTile's candidate scan, with neither the
+ * full-tile shortcut nor the memo.
+ */
+TileChoice
+scanTile(const GemmShape &s, double capacity, double fill)
+{
+    const double elem = precisionBytes(s.precision);
+    const double budget = capacity * fill / elem;
+    auto candidates = [](long long dim) {
+        std::vector<long long> out;
+        for (long long t = 16; t < dim; t *= 2)
+            out.push_back(t);
+        out.push_back(dim);
+        return out;
+    };
+    auto traffic = [&](long long tm, long long tn, long long tk) {
+        return elem *
+               (double(s.m) * double(s.k) *
+                    std::ceil(double(s.n) / double(tn)) +
+                double(s.k) * double(s.n) *
+                    std::ceil(double(s.m) / double(tm)) +
+                2.0 * double(s.m) * double(s.n) *
+                    std::ceil(double(s.k) / double(tk)));
+    };
+    TileChoice best;
+    best.traffic = std::numeric_limits<double>::infinity();
+    for (long long tm : candidates(s.m))
+        for (long long tn : candidates(s.n)) {
+            double remaining = budget - double(tm) * double(tn);
+            if (remaining <= 0.0)
+                continue;
+            long long tk = static_cast<long long>(remaining / (tm + tn));
+            if (tk < 1)
+                continue;
+            tk = std::min(tk, s.k);
+            double t = traffic(tm, tn, tk);
+            if (t < best.traffic)
+                best = {tm, tn, tk, t};
+        }
+    if (!std::isfinite(best.traffic))
+        best = {1, 1, 1, traffic(1, 1, 1)};
+    return best;
+}
+
+/** Largest k whose full (m, n, k) tile fits; 0 when none does. */
+long long
+fullTileMaxK(long long m, long long n, double capacity, double fill,
+             Precision p)
+{
+    const double remaining =
+        capacity * fill / precisionBytes(p) - double(m) * double(n);
+    return remaining > 0.0 ? static_cast<long long>(remaining / (m + n))
+                           : 0;
+}
+
+/**
+ * searchTile equals the reference scan exactly; a call the full-tile
+ * shortcut answers leaves the memo counters alone, every other call
+ * counts one hit or miss.
+ */
+void
+expectMatchesScan(const GemmShape &s, double capacity, double fill)
+{
+    SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
+                 std::to_string(s.k) + " " + precisionName(s.precision) +
+                 " cap " + std::to_string(capacity) + " fill " +
+                 std::to_string(fill));
+    const TileCacheStats before = tileCacheStats();
+    const TileChoice got = searchTile(s, capacity, fill);
+    const TileCacheStats after = tileCacheStats();
+    const TileChoice want = scanTile(s, capacity, fill);
+    EXPECT_EQ(want.tm, got.tm);
+    EXPECT_EQ(want.tn, got.tn);
+    EXPECT_EQ(want.tk, got.tk);
+    EXPECT_EQ(want.traffic, got.traffic);
+
+    const bool fits =
+        fullTileMaxK(s.m, s.n, capacity, fill, s.precision) >= s.k;
+    const unsigned long long lookups = (after.hits + after.misses) -
+                                       (before.hits + before.misses);
+    EXPECT_EQ(fits ? 0u : 1u, lookups);
+    if (fits) {
+        EXPECT_EQ(before.entries, after.entries);
+    }
+}
+
+TEST(TileSearch, FullTileShortcutMatchesScan)
+{
+    tileCacheClear();
+    const long long dims[] = {1, 7, 16, 17, 128, 1000, 4096, 8192};
+    for (Precision p : {Precision::FP32, Precision::FP16, Precision::FP8})
+        for (double capacity : {192.0 * KiB, 1.0 * MiB, 40.0 * MiB})
+            for (double fill : {0.5, 0.75, 1.0})
+                for (long long m : dims)
+                    for (long long n : dims) {
+                        for (long long k : dims)
+                            expectMatchesScan({m, n, k, p}, capacity,
+                                              fill);
+                        // Exactly at the fit boundary, and one element
+                        // of k past it.
+                        const long long kmax =
+                            fullTileMaxK(m, n, capacity, fill, p);
+                        if (kmax < 1)
+                            continue;
+                        expectMatchesScan({m, n, kmax, p}, capacity,
+                                          fill);
+                        expectMatchesScan({m, n, kmax + 1, p}, capacity,
+                                          fill);
+                    }
+    tileCacheClear();
 }
 
 TEST(ShapeEfficiency, QuantizationPenalty)
