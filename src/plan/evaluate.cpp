@@ -11,9 +11,7 @@
  * memo level can change results at any thread count.
  *
  * The per-token ops of a decode token range (tokenOps) skip both
- * memos: their contexts almost never repeat. The one repeat, a
- * sliding window the context has passed, is caught by comparing each
- * token's op with the previous token's and reusing its estimate.
+ * memos: their contexts almost never repeat.
  */
 
 #include "plan/plan.h"
@@ -63,7 +61,6 @@ namespace {
 struct OpRecord
 {
     std::uint64_t f[19];
-    bool operator==(const OpRecord &) const = default;
 };
 static_assert(sizeof(OpRecord) == 19 * sizeof(std::uint64_t));
 
@@ -168,28 +165,6 @@ evaluatePart(const Device &dev, const ComputePart &part,
     return est;
 }
 
-/**
- * Price every tokenOps entry of @p st into @p ev. A token whose op is
- * bit-equal to the previous token's (a saturated sliding window)
- * reuses that token's estimate.
- */
-void
-evaluateTokenOps(const Device &dev, const PlanStep &st, StepEval &ev)
-{
-    ev.tokenEsts.reserve(st.tokenOps.size());
-    OpRecord prev{};
-    for (const Op &op : st.tokenOps) {
-        const OpRecord rec = opRecord(op);
-        if (!ev.tokenEsts.empty() && rec == prev) {
-            ev.tokenEsts.push_back(ev.tokenEsts.back());
-        } else {
-            ev.tokenEsts.push_back(evaluateOp(dev, op));
-            prev = rec;
-        }
-        ev.tokenEsts.back().kernel = op.name;
-    }
-}
-
 } // namespace
 
 BoundBucket
@@ -201,15 +176,15 @@ boundBucket(const Op &op, const KernelEstimate &est)
                               : BoundBucket::GemmMemory;
 }
 
-const char *
-boundBucketName(BoundBucket b)
+std::string
+boundCategory(const std::string &phase, BoundBucket b)
 {
     switch (b) {
-      case BoundBucket::GemmCompute: return "gemm-compute";
-      case BoundBucket::GemmMemory: return "gemm-memory";
+      case BoundBucket::GemmCompute: return phase + "-gemm-compute";
+      case BoundBucket::GemmMemory: return phase + "-gemm-memory";
       case BoundBucket::Other: break;
     }
-    return "other";
+    return phase + "-other";
 }
 
 EvaluatedPlan
@@ -237,14 +212,18 @@ evaluatePlan(KernelPlan plan, const System &sys,
           case StepKind::Compute: {
             if (!st.tokenOps.empty()) {
                 // Context-dependent: price every token's op.
-                evaluateTokenOps(ep.dev, st, ev);
-                for (const KernelEstimate &est : ev.tokenEsts)
+                ev.tokenEsts.reserve(st.tokenOps.size());
+                for (const Op &op : st.tokenOps) {
+                    KernelEstimate est = evaluateOp(ep.dev, op);
+                    est.kernel = op.name;
                     ev.total += est.time * instances;
+                    ev.tokenEsts.push_back(std::move(est));
+                }
                 ev.perInstance = ev.total / (instances * tokens);
-                if (st.bucketByBound)
-                    ev.category = st.phase + "-" +
-                                  boundBucketName(boundBucket(
-                                      st.tokenOps[0], ev.tokenEsts[0]));
+                if (st.bucketByBound) {
+                    ev.bucket = boundBucket(st.tokenOps[0], ev.tokenEsts[0]);
+                    ev.category = boundCategory(st.phase, ev.bucket);
+                }
                 break;
             }
             double combined = 0.0;
@@ -263,10 +242,10 @@ evaluatePlan(KernelPlan plan, const System &sys,
             ev.perInstance = combined;
             ev.total = ev.perInstance * instances * tokens;
             // Bound-bucketed steps are single-op by construction.
-            if (st.bucketByBound)
-                ev.category = st.phase + "-" +
-                              boundBucketName(boundBucket(
-                                  st.parts[0].ops[0], ev.partEsts[0]));
+            if (st.bucketByBound) {
+                ev.bucket = boundBucket(st.parts[0].ops[0], ev.partEsts[0]);
+                ev.category = boundCategory(st.phase, ev.bucket);
+            }
             if (opts.detail && !st.detailLane.empty())
                 for (const Op &op : st.parts[0].ops)
                     ev.opEsts.push_back(evaluateOp(ep.dev, op));

@@ -10,7 +10,6 @@
 #include "plan/plan.h"
 
 #include <array>
-#include <string_view>
 
 #include "trace/trace.h"
 #include "util/error.h"
@@ -70,7 +69,7 @@ bucketsPerToken(const PlanStep &st)
     return !st.tokenOps.empty() && st.bucketByBound;
 }
 
-/** A step's category per BoundBucket: phase + "-" + bucket name. */
+/** A step's category per BoundBucket. */
 using BucketCategories = std::array<std::string, 3>;
 
 BucketCategories
@@ -79,7 +78,7 @@ bucketCategories(const PlanStep &st)
     BucketCategories out;
     for (BoundBucket b : {BoundBucket::GemmCompute,
                           BoundBucket::GemmMemory, BoundBucket::Other})
-        out[size_t(b)] = st.phase + "-" + boundBucketName(b);
+        out[size_t(b)] = boundCategory(st.phase, b);
     return out;
 }
 
@@ -271,32 +270,16 @@ FoldedInference
 foldInference(const EvaluatedPlan &ep, TraceSession *trace)
 {
     FoldedInference f;
-    // Per-step invariants, resolved once: the phase report a step
-    // feeds, and the bucket field of a step whose tokens share one
-    // category (null when every token is bucketed by its own bound).
-    struct StepTarget
-    {
-        PhaseReport *report;
-        double PhaseReport::*bucket;
-    };
-    std::vector<StepTarget> targets;
-    targets.reserve(ep.plan.steps.size());
-    for (size_t i = 0; i < ep.plan.steps.size(); ++i) {
-        const PlanStep &st = ep.plan.steps[i];
-        const std::string_view category = ep.evals[i].category;
-        BoundBucket b = BoundBucket::Other;
-        if (category.ends_with("gemm-compute"))
-            b = BoundBucket::GemmCompute;
-        else if (category.ends_with("gemm-memory"))
-            b = BoundBucket::GemmMemory;
-        targets.push_back({st.phase == "decode" ? &f.decode : &f.prefill,
-                           bucketsPerToken(st) ? nullptr : bucketField(b)});
-    }
+    // The phase report each step feeds, resolved once per step.
+    std::vector<PhaseReport *> reports;
+    reports.reserve(ep.plan.steps.size());
+    for (const PlanStep &st : ep.plan.steps)
+        reports.push_back(st.phase == "decode" ? &f.decode : &f.prefill);
 
     forEachStepToken(ep.plan, [&](size_t i, long long t) {
         const PlanStep &st = ep.plan.steps[i];
         const StepEval &ev = ep.evals[i];
-        PhaseReport &r = *targets[i].report;
+        PhaseReport &r = *reports[i];
         const double inst = instances(st);
         const double total = tokenPerInstance(st, ev, t) * inst;
         if (st.kind == StepKind::Compute) {
@@ -309,10 +292,10 @@ foldInference(const EvaluatedPlan &ep, TraceSession *trace)
             // overhead, as in the paper's per-kernel accounting (a
             // 3 us per-head attention kernel counts as memory-bound
             // time even though its cost is launch-dominated).
-            double PhaseReport::*bucket = targets[i].bucket;
-            if (bucket == nullptr)
-                bucket = bucketField(boundBucket(st.tokenOps[t], est));
-            r.*bucket += total;
+            const BoundBucket b = bucketsPerToken(st)
+                                      ? boundBucket(st.tokenOps[t], est)
+                                      : ev.bucket;
+            r.*bucketField(b) += total;
         } else if (st.kind == StepKind::Collective) {
             r.commTime += total;
             r.time += total;

@@ -211,6 +211,9 @@ struct EvaluateOptions
     EvalCache *cache = nullptr;  ///< optional shared memo
 };
 
+/** The inference PhaseReport kernel buckets. */
+enum class BoundBucket { GemmCompute, GemmMemory, Other };
+
 /** Evaluation result of one step. */
 struct StepEval
 {
@@ -223,6 +226,8 @@ struct StepEval
     double total = 0.0;
     /** Resolved (bucketByBound applied); a tokenOps step's first token. */
     std::string category;
+    /** The bound bucket behind a bucketByBound category. */
+    BoundBucket bucket = BoundBucket::Other;
     std::vector<KernelEstimate> partEsts;  ///< one per ComputePart
     std::vector<KernelEstimate> tokenEsts; ///< one per tokenOps entry
     std::vector<KernelEstimate> opEsts;    ///< per-op detail of parts[0]
@@ -274,19 +279,18 @@ void lowerDecodeTokens(const TransformerConfig &cfg, const System &sys,
 EvaluatedPlan evaluatePlan(KernelPlan plan, const System &sys,
                            const EvaluateOptions &opts = {});
 
-/** The inference PhaseReport kernel buckets. */
-enum class BoundBucket { GemmCompute, GemmMemory, Other };
-
 /**
  * Bound bucket of a bucketByBound kernel: GemmCompute or GemmMemory
  * for a GEMM or fused-attention op by its evaluated bound, Other for
- * every other op. The step's category is
- * phase + "-" + boundBucketName(bucket).
+ * every other op.
  */
 BoundBucket boundBucket(const Op &op, const KernelEstimate &est);
 
-/** "gemm-compute", "gemm-memory" or "other". */
-const char *boundBucketName(BoundBucket b);
+/**
+ * Category of a bucketByBound step of @p phase in bucket @p b:
+ * phase + "-" + {gemm-compute | gemm-memory | other}.
+ */
+std::string boundCategory(const std::string &phase, BoundBucket b);
 
 // ---- Fold ------------------------------------------------------------
 

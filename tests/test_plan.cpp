@@ -416,7 +416,7 @@ TEST(TokenRangeDecode, MatchesPerTokenPlanPipelineFp8Kv)
 TEST(TokenRangeDecode, MatchesPerTokenPlanAcrossSlidingWindow)
 {
     // The window is crossed after 16 of the 48 generated tokens; past
-    // it the attention ops repeat and reuse the previous estimate.
+    // it the attention ops repeat.
     TransformerConfig cfg = models::mixtral8x7b();
     InferenceOptions opts = decodeOptions(48);
     cfg.slidingWindow = opts.promptLength + 16;
