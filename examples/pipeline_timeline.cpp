@@ -68,8 +68,10 @@ main()
         out.endRow();
 
         if (c.sched == PipelineSchedule::Interleaved1F1B) {
+            TraceSession session;
+            traceSchedule(r, session);
             std::ofstream trace("pipeline_trace.json");
-            trace << toChromeTrace(r);
+            trace << chromeTraceJson(session).dump() << "\n";
             std::cout << "wrote pipeline_trace.json ("
                       << r.events.size() << " events) - open in "
                       << "chrome://tracing or perfetto\n\n";

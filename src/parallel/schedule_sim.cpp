@@ -1,8 +1,9 @@
 #include "parallel/schedule_sim.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <string>
 
+#include "trace/trace.h"
 #include "util/error.h"
 
 namespace optimus {
@@ -183,29 +184,32 @@ simulatePipeline(const ScheduleSimParams &prm)
     return result;
 }
 
-std::string
-toChromeTrace(const ScheduleSimResult &result)
+void
+traceSchedule(const ScheduleSimResult &result, TraceSession &session)
 {
-    // chrome://tracing "trace event" format: X (complete) events with
-    // microsecond timestamps; one row (tid) per pipeline stage.
-    std::string out = "[";
-    bool first = true;
-    char buf[256];
+    // Each stage's events come out in time order, and an event starts
+    // exactly when its stage went idle or later, so a gap is 0 or a
+    // bubble, and the lane cursor follows the simulated start times.
+    std::vector<int> lanes;
+    std::vector<double> idle_since;
     for (const SimEvent &e : result.events) {
-        if (!first)
-            out += ",";
-        first = false;
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"name\":\"%s mb%lld c%d\",\"ph\":\"X\",\"pid\":0,"
-            "\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}",
-            e.backward ? "B" : "F",
-            static_cast<long long>(e.microbatch), e.chunk, e.stage,
-            e.start * 1e6, (e.end - e.start) * 1e6);
-        out += buf;
+        while (static_cast<int>(lanes.size()) <= e.stage) {
+            lanes.push_back(session.lane(
+                "stage" + std::to_string(lanes.size())));
+            idle_since.push_back(0.0);
+        }
+        const int lane = lanes[e.stage];
+        const double gap = e.start - idle_since[e.stage];
+        if (gap > 0.0)
+            session.emit(lane, "bubble", "bubble", gap);
+        session.emit(lane,
+                     std::string(e.backward ? "B" : "F") + " mb" +
+                         std::to_string(e.microbatch) + " c" +
+                         std::to_string(e.chunk),
+                     e.backward ? "backward" : "forward",
+                     e.end - e.start);
+        idle_since[e.stage] = e.end;
     }
-    out += "]";
-    return out;
 }
 
 } // namespace optimus

@@ -5,20 +5,22 @@
  * The training engine uses closed-form bubble fractions (Sec. 3.2);
  * this module simulates the actual schedules — every forward/backward
  * chunk of every microbatch on every stage, with p2p transfer delays —
- * producing an exact makespan, a per-stage timeline, and a Chrome
- * trace (chrome://tracing JSON) for visual inspection. Tests verify
- * the closed forms against the simulation.
+ * producing an exact makespan and a per-stage timeline, which
+ * traceSchedule lays out in a TraceSession for the one Chrome-trace
+ * writer (trace/export.h). Tests verify the closed forms against the
+ * simulation.
  */
 
 #ifndef OPTIMUS_PARALLEL_SCHEDULE_SIM_H
 #define OPTIMUS_PARALLEL_SCHEDULE_SIM_H
 
-#include <string>
 #include <vector>
 
 #include "parallel/config.h"
 
 namespace optimus {
+
+class TraceSession;
 
 /** One executed chunk in the simulated timeline. */
 struct SimEvent
@@ -55,8 +57,15 @@ struct ScheduleSimResult
 /** Run the simulation; throws ConfigError on invalid parameters. */
 ScheduleSimResult simulatePipeline(const ScheduleSimParams &params);
 
-/** Serialize a timeline as chrome://tracing JSON. */
-std::string toChromeTrace(const ScheduleSimResult &result);
+/**
+ * Emit a simulated timeline into @p session: one lane per stage
+ * ("stage<s>"), one span per event named "F mb<i> c<chunk>" or
+ * "B mb<i> c<chunk>" with category "forward" or "backward", and a
+ * "bubble" span for each idle gap before an event, so every span
+ * starts at its simulated start time.
+ */
+void traceSchedule(const ScheduleSimResult &result,
+                   TraceSession &session);
 
 } // namespace optimus
 

@@ -3,15 +3,17 @@
  * The single evaluator: maps every PlanStep through the roofline
  * (workload/graph.h) and collective (comm/collective.h) models.
  *
- * Compute-part evaluations are memoized under a binary signature of
- * their Op fields — always within one plan (the recompute step reuses
- * the forward estimate), and optionally across plans through a shared
- * EvalCache (planner candidates differing only in DP degree lower to
- * identical op lists). Cached values are deterministic, so neither
- * memo level can change results at any thread count.
+ * Every step is priced directly, except that a caller may pass a
+ * shared EvalCache: compute parts are then memoized under a binary
+ * signature of their Op fields (planner candidates differing only in
+ * DP degree lower to identical op lists). Cached values are
+ * deterministic, so the cache cannot change results at any thread
+ * count. A plan keeps no memo of its own: the few parts that repeat
+ * within one plan (the recompute step's forward op list) cost less to
+ * re-price than a signature lookup per part.
  *
- * The per-token ops of a decode token range (tokenOps) skip both
- * memos: their contexts almost never repeat.
+ * The per-token ops of a decode token range (tokenOps) never enter
+ * the cache: their contexts almost never repeat.
  */
 
 #include "plan/plan.h"
@@ -20,7 +22,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
 
 namespace optimus {
 namespace plan {
@@ -122,45 +123,30 @@ opsSignature(const Device &dev, const Op *ops, size_t n)
     return sig;
 }
 
-using LocalMemo = std::unordered_map<std::string, KernelEstimate>;
-
 /**
- * The estimate under @p key: from the per-plan memo, else from the
- * shared cache, else from @p eval() (then stored in both).
+ * One compute part: priced directly, or through @p cache when one is
+ * given. A single op goes through evaluateOp directly so the estimate
+ * is bit-identical to the per-kernel detail path.
  */
-template <typename Eval>
 KernelEstimate
-memoized(std::string key, LocalMemo &local, EvalCache *shared,
-         Eval &&eval)
-{
-    auto it = local.find(key);
-    if (it != local.end())
-        return it->second;
-    KernelEstimate est;
-    if (shared == nullptr || !shared->lookup(key, &est)) {
-        est = eval();
-        if (shared != nullptr)
-            shared->insert(key, est);
-    }
-    local.emplace(std::move(key), est);
-    return est;
-}
-
-/** Memoized evaluation of one compute part. */
-KernelEstimate
-evaluatePart(const Device &dev, const ComputePart &part,
-             LocalMemo &local, EvalCache *shared)
+evaluatePart(const Device &dev, const ComputePart &part, EvalCache *cache)
 {
     const bool single = part.ops.size() == 1;
-    KernelEstimate est = memoized(
-        opsSignature(dev, part.ops.data(), part.ops.size()), local,
-        shared, [&] {
-            // A single op goes through evaluateOp directly so the
-            // cached estimate is bit-identical to the per-kernel
-            // detail path.
-            return single ? evaluateOp(dev, part.ops[0])
-                          : evaluateOps(dev, part.ops, part.label);
-        });
+    auto price = [&] {
+        return single ? evaluateOp(dev, part.ops[0])
+                      : evaluateOps(dev, part.ops, part.label);
+    };
+    KernelEstimate est;
+    if (cache == nullptr) {
+        est = price();
+    } else {
+        const std::string key =
+            opsSignature(dev, part.ops.data(), part.ops.size());
+        if (!cache->lookup(key, &est)) {
+            est = price();
+            cache->insert(key, est);
+        }
+    }
     est.kernel = single ? part.ops[0].name : part.label;
     return est;
 }
@@ -195,7 +181,6 @@ evaluatePlan(KernelPlan plan, const System &sys,
     ep.dev = sys.device;
     ep.evals.reserve(plan.steps.size());
 
-    LocalMemo local;
     // Running busy time of the steps evaluated so far — the quantity
     // the pipeline-bubble step scales (the bubble is lowered after
     // every per-iteration step and before DP/optimizer).
@@ -228,8 +213,8 @@ evaluatePlan(KernelPlan plan, const System &sys,
             }
             double combined = 0.0;
             for (size_t pi = 0; pi < st.parts.size(); ++pi) {
-                KernelEstimate est = evaluatePart(
-                    ep.dev, st.parts[pi], local, opts.cache);
+                KernelEstimate est =
+                    evaluatePart(ep.dev, st.parts[pi], opts.cache);
                 double scaled = est.time * st.parts[pi].scale;
                 if (pi == 0)
                     combined = scaled;

@@ -306,31 +306,35 @@ foldInference(const EvaluatedPlan &ep, TraceSession *trace)
     return f;
 }
 
-void
-KernelAggregator::add(const std::string &lane, const TraceSpan &span)
-{
-    if (!span.isKernel())
-        return;
-    const std::string key = lane + "/" + span.name;
-    Entry &e = byKey_[key];
-    if (e.agg.count == 0) {
-        e.agg.key = key;
-        e.agg.category = span.category;
-    }
-    ++e.agg.count;
-    e.agg.time += span.duration;
-    e.agg.flops += span.flops;
-    e.agg.dramBytes += span.dramBytes();
-    e.agg.overhead += span.overhead;
-    e.boundTime[span.bound] += span.duration;
-}
-
 std::vector<KernelAggregate>
-KernelAggregator::finish()
+kernelAggregates(const EvaluatedPlan &ep)
 {
+    struct Entry
+    {
+        KernelAggregate agg;
+        std::map<std::string, double> boundTime;
+    };
+    std::map<std::string, Entry> byKey;
+    forEachStepSpan(ep, [&](const std::string &lane, const TraceSpan &s) {
+        if (!s.isKernel())
+            return;
+        const std::string key = lane + "/" + s.name;
+        Entry &e = byKey[key];
+        if (e.agg.count == 0) {
+            e.agg.key = key;
+            e.agg.category = s.category;
+        }
+        ++e.agg.count;
+        e.agg.time += s.duration;
+        e.agg.flops += s.flops;
+        e.agg.dramBytes += s.dramBytes();
+        e.agg.overhead += s.overhead;
+        e.boundTime[s.bound] += s.duration;
+    });
+
     std::vector<KernelAggregate> out;
-    out.reserve(byKey_.size());
-    for (auto &kv : byKey_) {
+    out.reserve(byKey.size());
+    for (auto &kv : byKey) {
         // A kernel whose bound class varies within the run (e.g. a
         // decode GEMV flipping DRAM -> L2 as the context grows) is
         // labeled by its time-dominant class; ties break
@@ -344,18 +348,7 @@ KernelAggregator::finish()
             }
         out.push_back(std::move(e.agg));
     }
-    byKey_.clear();
     return out;
-}
-
-std::vector<KernelAggregate>
-kernelAggregates(const EvaluatedPlan &ep)
-{
-    KernelAggregator agg;
-    forEachStepSpan(ep, [&](const std::string &lane, const TraceSpan &s) {
-        agg.add(lane, s);
-    });
-    return agg.finish();
 }
 
 } // namespace plan

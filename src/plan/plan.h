@@ -31,7 +31,6 @@
 #ifndef OPTIMUS_PLAN_PLAN_H
 #define OPTIMUS_PLAN_PLAN_H
 
-#include <map>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -48,7 +47,6 @@
 namespace optimus {
 
 class TraceSession;
-struct TraceSpan;
 
 namespace plan {
 
@@ -175,7 +173,8 @@ struct KernelPlan
 };
 
 /**
- * Shared memo of op-list roofline evaluations, keyed by a binary
+ * The evaluator's one memo, owned by the caller: op-list roofline
+ * evaluations shared across plans, keyed by a binary
  * signature: the bit patterns of every Op field evaluateOp reads, in
  * fixed-size records, plus the device name. Thread-safe; entries are
  * deterministic (any racing computation of the same key produces the
@@ -275,6 +274,8 @@ void lowerDecodeTokens(const TransformerConfig &cfg, const System &sys,
 /**
  * Map every step through the roofline / collective models. A
  * tokenOps step is priced once per token; every other step once.
+ * The plan keeps no memo of its own: compute parts are memoized only
+ * through the caller's opts.cache, when one is given.
  */
 EvaluatedPlan evaluatePlan(KernelPlan plan, const System &sys,
                            const EvaluateOptions &opts = {});
@@ -342,29 +343,9 @@ struct KernelAggregate
 };
 
 /**
- * The one kernel-aggregation loop: folds kernel-detail spans into
- * per-identity KernelAggregates. kernelAggregates feeds it the span
- * stream of an evaluated plan; report::foldTrace feeds it the spans
- * of a TraceSession.
+ * Per-identity kernel aggregates, folded from the span stream of an
+ * evaluated plan (requires a detail evaluation). Sorted by key.
  */
-class KernelAggregator
-{
-  public:
-    /** Fold @p span of lane @p lane; non-kernel spans are skipped. */
-    void add(const std::string &lane, const TraceSpan &span);
-    /** The aggregates, sorted by key. */
-    std::vector<KernelAggregate> finish();
-
-  private:
-    struct Entry
-    {
-        KernelAggregate agg;
-        std::map<std::string, double> boundTime;
-    };
-    std::map<std::string, Entry> byKey_;
-};
-
-/** Per-identity kernel aggregates (requires a detail evaluation). */
 std::vector<KernelAggregate> kernelAggregates(const EvaluatedPlan &ep);
 
 // ---- Drivers ---------------------------------------------------------

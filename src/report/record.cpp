@@ -102,19 +102,6 @@ fingerprintJson(const JsonValue &config)
     return buf;
 }
 
-void
-foldTrace(RunRecord &rec, const TraceSession &session)
-{
-    plan::KernelAggregator agg;
-    const std::vector<TraceLane> &lanes = session.lanes();
-    for (const TraceSpan &s : session.spans())
-        agg.add(lanes.at(static_cast<size_t>(s.lane)).name, s);
-    rec.kernels = agg.finish();
-
-    for (const auto &kv : session.counters())
-        rec.counters[kv.first] = kv.second;
-}
-
 JsonValue
 toJson(const RunRecord &rec)
 {
@@ -407,7 +394,7 @@ recordPlanner(const TransformerConfig &model, const System &sys,
         rec.setAttr("best/zero",
                     std::to_string(best.options.memory.zeroStage));
     }
-    foldTrace(rec, session);
+    rec.counters = session.counters();
     return rec;
 }
 
@@ -444,7 +431,7 @@ recordDse(const TechConfig &tech, const DeviceObjective &objective,
                   r.device.matrixFlops(Precision::FP16));
     rec.setMetric("device/l2-capacity",
                   r.device.level("L2").capacity);
-    foldTrace(rec, session);
+    rec.counters = session.counters();
     return rec;
 }
 

@@ -11,7 +11,7 @@
  * (tool version, schema version, git SHA), a stable fingerprint of
  * the (model, system, mapping) configuration, wall-clock and thread
  * count, the top-level metric breakdown, per-kernel aggregates with
- * FLOPs / traffic / bound class (folded from a TraceSession), the
+ * FLOPs / traffic / bound class (folded from the evaluated plan), the
  * counter registry totals, and any validation-table rows.
  *
  * Records written by `optimus_cli record` (or the always-on bench
@@ -35,9 +35,6 @@
 #include "util/json.h"
 
 namespace optimus {
-
-class TraceSession;
-
 namespace report {
 
 /** One per-identity kernel row (see plan::KernelAggregate). */
@@ -90,13 +87,6 @@ struct RunRecord
  */
 std::string fingerprintJson(const JsonValue &config);
 
-/**
- * Fold every kernel-detail span of @p session into per-identity
- * KernelStat aggregates (sorted by key) and copy the counter totals
- * into the record.
- */
-void foldTrace(RunRecord &rec, const TraceSession &session);
-
 // ---- Serialization ---------------------------------------------------
 
 /** Serialize; the inverse of recordFromJson (lossless round trip). */
@@ -116,10 +106,13 @@ RunRecord loadRunRecord(const std::string &path);
 
 // ---- Builders --------------------------------------------------------
 //
-// Each builder runs the evaluator with a private TraceSession, stamps
-// the build identity, fingerprints the canonical config, and fills
-// metrics / kernels / counters. `threads` follows the exec-layer
-// convention (0 = OPTIMUS_THREADS env, default 1).
+// Each builder stamps the build identity, fingerprints the canonical
+// config, runs the evaluator and fills metrics and counters. The
+// training and inference builders take kernel rows from
+// plan::kernelAggregates and counters from the plan; the planner and
+// DSE builders record no kernel rows and copy the counters of a
+// private TraceSession. `threads` follows the exec-layer convention
+// (0 = OPTIMUS_THREADS env, default 1).
 
 /** Record one training evaluation. */
 RunRecord recordTraining(const TransformerConfig &model,

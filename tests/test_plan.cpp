@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the kernel-plan IR (src/plan): the plan fold reproduces
- * the evaluator reports, step identities are deterministic across
- * thread counts (with a shared estimate cache), the JSON dump round
- * trips, and the communication group-scope convention is honored at
- * its boundary (including the inference per-layer TP all-reduce,
- * which used to be pinned intra-node), and a token-range decode plan
- * evaluates and folds bit-identically to one step per (token, op).
+ * the evaluator reports, step identities and estimates are the same
+ * with no cache and with a cold or warm shared estimate cache, at any
+ * thread count, the JSON dump round trips, and the communication
+ * group-scope convention is honored at its boundary (including the
+ * inference per-layer TP all-reduce, which used to be pinned
+ * intra-node), and a token-range decode plan evaluates and folds
+ * bit-identically to one step per (token, op).
  */
 
 #include <gtest/gtest.h>
@@ -121,6 +122,25 @@ TEST(Plan, InferenceFoldReproducesEvaluatorReport)
     EXPECT_GT(f.decode.commTime, 0.0);
 }
 
+/** Every step of @p ep bit-equal to @p ref, part estimates included. */
+void
+expectSameEvaluation(const plan::EvaluatedPlan &ref,
+                     const plan::EvaluatedPlan &ep)
+{
+    ASSERT_EQ(ref.plan.steps.size(), ep.plan.steps.size());
+    for (size_t i = 0; i < ref.plan.steps.size(); ++i) {
+        EXPECT_EQ(ref.plan.steps[i].lane, ep.plan.steps[i].lane);
+        EXPECT_EQ(ref.plan.steps[i].name, ep.plan.steps[i].name);
+        EXPECT_EQ(ref.evals[i].total, ep.evals[i].total);
+        EXPECT_EQ(ref.evals[i].perInstance, ep.evals[i].perInstance);
+        ASSERT_EQ(ref.evals[i].partEsts.size(),
+                  ep.evals[i].partEsts.size());
+        for (size_t j = 0; j < ref.evals[i].partEsts.size(); ++j)
+            EXPECT_EQ(ref.evals[i].partEsts[j].time,
+                      ep.evals[i].partEsts[j].time);
+    }
+}
+
 TEST(Plan, StepIdentitiesDeterministicAcrossThreads)
 {
     TransformerConfig model;
@@ -128,9 +148,39 @@ TEST(Plan, StepIdentitiesDeterministicAcrossThreads)
     ParallelConfig par;
     TrainingOptions opts;
     table1Config(&model, &sys, &par, &opts);
+    const InferenceOptions iopts = table2Options();
+    const TransformerConfig imodel = models::llama2_13b();
+    const System isys = presets::dgxA100(1);
 
-    plan::EvaluatedPlan ref = plan::evaluatePlan(
-        plan::lowerTraining(model, sys, par, 64, opts), sys);
+    auto lowerTrain = [&] {
+        return plan::lowerTraining(model, sys, par, 64, opts);
+    };
+    auto lowerInfer = [&] {
+        return plan::lowerInference(imodel, isys, iopts);
+    };
+    // The reference prices every step directly, with no cache.
+    const plan::EvaluatedPlan train_ref =
+        plan::evaluatePlan(lowerTrain(), sys);
+    const plan::EvaluatedPlan infer_ref =
+        plan::evaluatePlan(lowerInfer(), isys);
+    bool has_recompute = false;
+    for (const plan::PlanStep &st : train_ref.plan.steps)
+        has_recompute |= st.category == "recompute";
+    ASSERT_TRUE(has_recompute);
+
+    // A cold shared cache, then the same cache warm, give the same
+    // estimates as no cache at all.
+    plan::EvalCache train_cache, infer_cache;
+    for (int pass = 0; pass < 2; ++pass) {
+        expectSameEvaluation(
+            train_ref, plan::evaluatePlan(lowerTrain(), sys,
+                                          {.cache = &train_cache}));
+        expectSameEvaluation(
+            infer_ref, plan::evaluatePlan(lowerInfer(), isys,
+                                          {.cache = &infer_cache}));
+    }
+    EXPECT_GT(train_cache.size(), 0u);
+    EXPECT_GT(infer_cache.size(), 0u);
 
     // Eight workers re-evaluate the same plan through one shared
     // estimate cache; every replica must be bit-identical to the
@@ -140,21 +190,11 @@ TEST(Plan, StepIdentitiesDeterministicAcrossThreads)
     eo.cache = &cache;
     std::vector<plan::EvaluatedPlan> replicas = exec::parallelMap(
         8, 8, [&](long long) {
-            return plan::evaluatePlan(
-                plan::lowerTraining(model, sys, par, 64, opts), sys,
-                eo);
+            return plan::evaluatePlan(lowerTrain(), sys, eo);
         });
     EXPECT_GT(cache.size(), 0u);
-    for (const plan::EvaluatedPlan &ep : replicas) {
-        ASSERT_EQ(ref.plan.steps.size(), ep.plan.steps.size());
-        for (size_t i = 0; i < ref.plan.steps.size(); ++i) {
-            EXPECT_EQ(ref.plan.steps[i].lane, ep.plan.steps[i].lane);
-            EXPECT_EQ(ref.plan.steps[i].name, ep.plan.steps[i].name);
-            EXPECT_EQ(ref.evals[i].total, ep.evals[i].total);
-            EXPECT_EQ(ref.evals[i].perInstance,
-                      ep.evals[i].perInstance);
-        }
-    }
+    for (const plan::EvaluatedPlan &ep : replicas)
+        expectSameEvaluation(train_ref, ep);
 }
 
 TEST(Plan, JsonDumpRoundTrips)

@@ -1,21 +1,27 @@
 /**
  * @file
- * Tests for the run ledger & diff engine: RunRecord JSON round trips
- * losslessly, a record diffed against itself is empty, a perturbed
- * kernel is attributed to the exact kernel and component, the
- * regression-sentinel exit code honors the tolerance, and structural
- * drift (bound flips, one-sided kernels, fingerprint mismatches) is
- * never excused by tolerance.
+ * Tests for the run ledger & diff engine: the builders fill every
+ * record kind, RunRecord JSON round trips losslessly, a record diffed
+ * against itself is empty, a perturbed kernel is attributed to the
+ * exact kernel and component, the regression-sentinel exit code
+ * honors the tolerance, and structural drift (bound flips, one-sided
+ * kernels, fingerprint mismatches) is never excused by tolerance.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "dse/search.h"
 #include "hw/presets.h"
+#include "planner/planner.h"
 #include "report/diff.h"
 #include "report/record.h"
 #include "report/version.h"
+#include "roofline/gemm.h"
+#include "tech/dram.h"
+#include "tech/logic_node.h"
+#include "trace/trace.h"
 #include "training/trainer.h"
 #include "util/error.h"
 #include "util/json.h"
@@ -57,6 +63,49 @@ TEST(RunRecord, BuilderFillsIdentityAndContent)
         EXPECT_GT(k.count, 0);
         EXPECT_FALSE(k.bound.empty());
     }
+}
+
+TEST(RunRecord, PlannerAndDseRecordsCopyCounters)
+{
+    // The planner and DSE records carry metrics and the counters of
+    // their search, and no kernel rows.
+    TrainingPlannerOptions popts;
+    popts.keep = 2;
+    popts.threads = 1;
+    const System sys = presets::dgxA100(1);
+    report::RunRecord plan =
+        report::recordPlanner(models::gpt7b(), sys, 16, popts);
+    EXPECT_EQ(plan.kind, "planner");
+    EXPECT_GT(plan.metric("plans/found"), 0.0);
+    EXPECT_GT(plan.metric("best/time-per-batch"), 0.0);
+    EXPECT_TRUE(plan.kernels.empty());
+    TraceSession planner_session;
+    popts.trace = &planner_session;
+    planTraining(models::gpt7b(), sys, 16, popts);
+    EXPECT_GT(planner_session.counter("planner/plans-evaluated"), 0.0);
+    EXPECT_EQ(plan.counters, planner_session.counters());
+
+    TechConfig tech;
+    tech.node = logicNode("N5");
+    tech.dram = dram::hbm3_26();
+    DseOptions dopts;
+    dopts.gridSteps = 2;
+    dopts.refineRounds = 1;
+    dopts.threads = 1;
+    auto objective = [](const Device &dev) {
+        return estimateGemm(dev, {4096, 4096, 4096, Precision::FP16})
+            .time;
+    };
+    report::RunRecord dse = report::recordDse(
+        tech, objective, dopts, JsonValue::string("gemm"));
+    EXPECT_EQ(dse.kind, "dse");
+    EXPECT_GT(dse.metric("objective"), 0.0);
+    EXPECT_GT(dse.metric("evaluations"), 0.0);
+    EXPECT_TRUE(dse.kernels.empty());
+    EXPECT_EQ(dse.counters.at("dse/evaluations"),
+              dse.metric("evaluations"));
+    EXPECT_EQ(dse.counters.at("dse/best-objective"),
+              dse.metric("objective"));
 }
 
 TEST(RunRecord, JsonRoundTripIsLossless)

@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "parallel/pipeline.h"
 #include "parallel/schedule_sim.h"
+#include "trace/export.h"
+#include "trace/trace.h"
 #include "util/error.h"
 
 namespace optimus {
@@ -143,16 +148,39 @@ TEST(ScheduleSim, P2pDelaysStretchTheRamp)
     EXPECT_LT(slow.makespan, fast.makespan + 6 * 8 * 0.1);
 }
 
-TEST(ScheduleSim, ChromeTraceIsWellFormedJson)
+TEST(ScheduleSim, TraceScheduleDecomposesTheTimeline)
 {
-    ScheduleSimResult r = simulatePipeline(
-        params(PipelineSchedule::OneFOneB, 2, 2));
-    std::string trace = toChromeTrace(r);
-    EXPECT_EQ(trace.front(), '[');
-    EXPECT_EQ(trace.back(), ']');
-    EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(trace.find("F mb0 c0"), std::string::npos);
-    EXPECT_NE(trace.find("B mb1 c0"), std::string::npos);
+    // Interleaving with p2p delays leaves idle gaps on every stage.
+    ScheduleSimParams prm =
+        params(PipelineSchedule::Interleaved1F1B, 4, 8, 2);
+    prm.p2pTime = 0.1;
+    for (const ScheduleSimParams &p :
+         {prm, params(PipelineSchedule::OneFOneB, 2, 2)}) {
+        ScheduleSimResult r = simulatePipeline(p);
+        TraceSession session;
+        traceSchedule(r, session);
+
+        ASSERT_EQ(session.lanes().size(), size_t(p.stages));
+        std::vector<double> busy(p.stages, 0.0);
+        for (const TraceSpan &s : session.spans()) {
+            EXPECT_EQ(session.lanes()[s.lane].name,
+                      "stage" + std::to_string(s.lane));
+            EXPECT_GT(s.duration, 0.0) << s.name;
+            if (s.category == "forward" || s.category == "backward")
+                busy[s.lane] += s.duration;
+            else
+                EXPECT_EQ(s.category, "bubble");
+        }
+        for (double b : busy)
+            EXPECT_NEAR(b, r.busyPerStage, 1e-12 * r.busyPerStage);
+        EXPECT_NEAR(session.makespan(), r.makespan,
+                    1e-12 * r.makespan);
+
+        const std::string doc = chromeTraceJson(session).dump();
+        EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
+        EXPECT_NE(doc.find("\"F mb0 c0\""), std::string::npos);
+        EXPECT_NE(doc.find("\"B mb1 c0\""), std::string::npos);
+    }
 }
 
 TEST(ScheduleSim, RejectsBadInputs)

@@ -10,9 +10,10 @@
  *   presets  list built-in device/system/model presets
  *
  * Inputs come from flags (preset names + mapping knobs) or from a
- * JSON config file (--config FILE) whose members are the objects
- * accepted by config/serialize.h. Add --json to emit the report as
- * JSON instead of text.
+ * JSON config file (the first positional operand, or --config FILE)
+ * whose members are the objects accepted by config/serialize.h; a
+ * member present in the file overrides the matching flags. Add
+ * --json to emit the report as JSON instead of text.
  *
  * Examples:
  *   optimus_cli train --model gpt-175b --system dgx-a100 --nodes 8 \
@@ -37,14 +38,23 @@ namespace {
 
 using Args = Flags;
 
+/** The config file: the first positional operand, else --config. */
+std::string
+configPath(const Args &args)
+{
+    return args.positionals().empty() ? args.get("config", "")
+                                      : args.positionals().front();
+}
+
+/** The parsed config file, or an empty object when none is given. */
 JsonValue
 loadConfig(const Args &args)
 {
-    if (!args.has("config"))
+    const std::string path = configPath(args);
+    if (path.empty())
         return JsonValue::object();
-    std::ifstream in(args.get("config", ""));
-    checkConfig(in.good(),
-                "cannot open config file " + args.get("config", ""));
+    std::ifstream in(path);
+    checkConfig(in.good(), "cannot open config file " + path);
     std::stringstream ss;
     ss << in.rdbuf();
     return JsonValue::parse(ss.str());
@@ -82,6 +92,23 @@ resolveParallel(const Args &args, const JsonValue &cfg)
     par.interleavedStages = args.getInt("interleave", 1);
     if (par.interleavedStages > 1)
         par.schedule = PipelineSchedule::Interleaved1F1B;
+    return par;
+}
+
+/**
+ * resolveParallel for an evaluation on @p sys: when the user gave only
+ * TP/PP, the data-parallel degree fills the system.
+ */
+ParallelConfig
+resolveTrainingParallel(const Args &args, const JsonValue &cfg,
+                        const System &sys)
+{
+    ParallelConfig par = resolveParallel(args, cfg);
+    if (!args.has("dp") && !(cfg.isObject() && cfg.has("parallel"))) {
+        long long rest = par.tensorParallel * par.pipelineParallel;
+        if (sys.totalDevices() % rest == 0)
+            par.dataParallel = sys.totalDevices() / rest;
+    }
     return par;
 }
 
@@ -135,14 +162,7 @@ cmdTrain(const Args &args)
     JsonValue cfg = loadConfig(args);
     TransformerConfig model = resolveModel(args, cfg);
     System sys = resolveSystem(args, cfg);
-    ParallelConfig par = resolveParallel(args, cfg);
-    // Convenience: fill the data-parallel degree from the system size
-    // when the user gave only TP/PP.
-    if (!args.has("dp") && !(cfg.isObject() && cfg.has("parallel"))) {
-        long long rest = par.tensorParallel * par.pipelineParallel;
-        if (sys.totalDevices() % rest == 0)
-            par.dataParallel = sys.totalDevices() / rest;
-    }
+    ParallelConfig par = resolveTrainingParallel(args, cfg, sys);
     long long batch = args.getInt("batch", 64);
 
     TrainingOptions opts = resolveTrainingOptions(args, cfg);
@@ -400,18 +420,11 @@ cmdMemory(const Args &args)
 int
 cmdLint(const Args &args)
 {
-    // Config path: positional operand or --config FILE.
-    std::string path = args.positionals().empty()
-                           ? args.get("config", "")
-                           : args.positionals().front();
+    const std::string path = configPath(args);
     checkConfig(!path.empty(),
                 "lint needs a config file: optimus_cli lint "
                 "<config.json>");
-    std::ifstream in(path);
-    checkConfig(in.good(), "cannot open config file " + path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    JsonValue cfg = JsonValue::parse(ss.str());
+    JsonValue cfg = loadConfig(args);
 
     lint::LintReport report;
     try {
@@ -453,17 +466,7 @@ cmdLint(const Args &args)
 int
 cmdTrace(const Args &args)
 {
-    std::string path = args.positionals().empty()
-                           ? args.get("config", "")
-                           : args.positionals().front();
-    JsonValue cfg = JsonValue::object();
-    if (!path.empty()) {
-        std::ifstream in(path);
-        checkConfig(in.good(), "cannot open config file " + path);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        cfg = JsonValue::parse(ss.str());
-    }
+    JsonValue cfg = loadConfig(args);
 
     TransformerConfig model = resolveModel(args, cfg);
     System sys = resolveSystem(args, cfg);
@@ -486,14 +489,7 @@ cmdTrace(const Args &args)
         model_total = rep.totalLatency;
         what = "inference latency";
     } else {
-        ParallelConfig par = resolveParallel(args, cfg);
-        if (!args.has("dp") &&
-            !(cfg.isObject() && cfg.has("parallel"))) {
-            long long rest =
-                par.tensorParallel * par.pipelineParallel;
-            if (sys.totalDevices() % rest == 0)
-                par.dataParallel = sys.totalDevices() / rest;
-        }
+        ParallelConfig par = resolveTrainingParallel(args, cfg, sys);
         long long batch = args.getInt("batch", 64);
         TrainingOptions opts = resolveTrainingOptions(args, cfg);
         lint::LintReport lrep =
@@ -562,17 +558,7 @@ cmdTrace(const Args &args)
 int
 cmdKernels(const Args &args)
 {
-    std::string path = args.positionals().empty()
-                           ? args.get("config", "")
-                           : args.positionals().front();
-    JsonValue cfg = JsonValue::object();
-    if (!path.empty()) {
-        std::ifstream in(path);
-        checkConfig(in.good(), "cannot open config file " + path);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        cfg = JsonValue::parse(ss.str());
-    }
+    JsonValue cfg = loadConfig(args);
 
     TransformerConfig model = resolveModel(args, cfg);
     System sys = resolveSystem(args, cfg);
@@ -589,14 +575,7 @@ cmdKernels(const Args &args)
         model_total = run.report.totalLatency;
         what = "inference latency";
     } else {
-        ParallelConfig par = resolveParallel(args, cfg);
-        if (!args.has("dp") &&
-            !(cfg.isObject() && cfg.has("parallel"))) {
-            long long rest =
-                par.tensorParallel * par.pipelineParallel;
-            if (sys.totalDevices() % rest == 0)
-                par.dataParallel = sys.totalDevices() / rest;
-        }
+        ParallelConfig par = resolveTrainingParallel(args, cfg, sys);
         long long batch = args.getInt("batch", 64);
         TrainingOptions opts = resolveTrainingOptions(args, cfg);
         plan::TrainingRun run =
@@ -682,8 +661,9 @@ struct DseSetup
     JsonValue objectiveConfig;
 };
 
+/** Resolve the DSE problem whose objective is @p mode (train|infer). */
 DseSetup
-resolveDseSetup(const Args &args)
+resolveDseSetup(const Args &args, const std::string &mode)
 {
     DseSetup s;
     s.tech.node = logicNode(args.get("node", "N5"));
@@ -692,7 +672,6 @@ resolveDseSetup(const Args &args)
     s.tech.powerBudget = args.getNumber("power", s.tech.powerBudget);
 
     const int gpus = static_cast<int>(args.getInt("gpus-per-node", 8));
-    std::string mode = args.get("mode", "train");
     TransformerConfig model = config::modelPreset(args.get(
         "model", mode == "infer" ? "llama2-13b" : "gpt-7b"));
     s.objectiveConfig = JsonValue::object();
@@ -756,7 +735,7 @@ resolveDseSetup(const Args &args)
 int
 cmdDse(const Args &args)
 {
-    DseSetup setup = resolveDseSetup(args);
+    DseSetup setup = resolveDseSetup(args, args.get("mode", "train"));
     TechConfig &tech = setup.tech;
     DeviceObjective &objective = setup.objective;
     std::string &label = setup.label;
@@ -806,17 +785,7 @@ cmdDse(const Args &args)
 int
 cmdRecord(const Args &args)
 {
-    std::string path = args.positionals().empty()
-                           ? args.get("config", "")
-                           : args.positionals().front();
-    JsonValue cfg = JsonValue::object();
-    if (!path.empty()) {
-        std::ifstream in(path);
-        checkConfig(in.good(), "cannot open config file " + path);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        cfg = JsonValue::parse(ss.str());
-    }
+    JsonValue cfg = loadConfig(args);
 
     std::string mode = args.get(
         "mode", (cfg.isObject() && cfg.has("inference")) ? "infer"
@@ -832,14 +801,7 @@ cmdRecord(const Args &args)
     } else if (mode == "train") {
         TransformerConfig model = resolveModel(args, cfg);
         System sys = resolveSystem(args, cfg);
-        ParallelConfig par = resolveParallel(args, cfg);
-        if (!args.has("dp") &&
-            !(cfg.isObject() && cfg.has("parallel"))) {
-            long long rest =
-                par.tensorParallel * par.pipelineParallel;
-            if (sys.totalDevices() % rest == 0)
-                par.dataParallel = sys.totalDevices() / rest;
-        }
+        ParallelConfig par = resolveTrainingParallel(args, cfg, sys);
         long long batch = args.getInt("batch", 64);
         TrainingOptions opts = resolveTrainingOptions(args, cfg);
         rec = report::recordTraining(
@@ -859,7 +821,9 @@ cmdRecord(const Args &args)
             model, sys, batch, opts,
             args.get("label", model.name + " planner"));
     } else if (mode == "dse") {
-        DseSetup setup = resolveDseSetup(args);
+        // record's --mode picks dse itself, so the objective takes
+        // dse's default mode.
+        DseSetup setup = resolveDseSetup(args, "train");
         rec = report::recordDse(setup.tech, setup.objective,
                                 setup.dopts, setup.objectiveConfig,
                                 args.get("label", setup.label));
@@ -929,7 +893,7 @@ int
 usage()
 {
     std::cout <<
-        "usage: optimus_cli <command> [flags]\n"
+        "usage: optimus_cli <command> [<config.json>] [flags]\n"
         "\n"
         "commands:\n"
         "  train    --model M --system S --nodes N --batch B --dp D\n"
@@ -960,12 +924,14 @@ usage()
         "           dump the lowered kernel plan (one row per plan\n"
         "           step: identity, repeat count, time, bound/scope)\n"
         "  dse      [--mode train|infer] [--node N3|N5] [--dram D]\n"
-        "           [--area MM2] [--power W] [--verbose] "
-        "[--threads N]\n"
+        "           [--area MM2] [--power W] [--grid N] [--rounds R]\n"
+        "           [--verbose] [--threads N]\n"
         "           optimize the compute/memory area+power split\n"
         "  record   <config.json> [--mode train|infer|plan|dse]\n"
         "           [--out run.json] [--label NAME]\n"
-        "           write a schema-versioned RunRecord ledger entry\n"
+        "           write a schema-versioned RunRecord ledger entry;\n"
+        "           --mode dse takes the dse flags and records the\n"
+        "           training objective\n"
         "  diff     <a.json> <b.json> [--check] [--tol-pct N] "
         "[--json]\n"
         "           compare two RunRecords; --check exits 1 on drift\n"
@@ -973,7 +939,9 @@ usage()
         "  version  print tool version, RunRecord schema, git SHA\n"
         "  presets  list built-in presets\n"
         "\n"
-        "common flags: --config FILE (JSON), --json (JSON output),\n"
+        "common flags: <config.json> or --config FILE (JSON, read by\n"
+        "  every command but dse/diff/version/presets; its members\n"
+        "  override the flags above), --json (JSON output),\n"
         "  --threads N (sweep worker threads; 0 = OPTIMUS_THREADS\n"
         "  env, default 1; results are identical at any count)\n";
     return 2;
