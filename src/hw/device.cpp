@@ -55,40 +55,53 @@ Device::level(const std::string &level_name) const
 void
 Device::validate() const
 {
+    // Every check builds its message only when it fails: lint, the
+    // planner and every DSE probe validate devices in hot loops.
     checkConfig(!name.empty(), "device needs a name");
-    checkConfig(!matrixThroughput.empty(),
-                name + ": needs at least one matrix throughput entry");
-    checkConfig(!mem.empty(), name + ": needs at least one memory level");
+    if (matrixThroughput.empty())
+        throw ConfigError(name +
+                          ": needs at least one matrix throughput entry");
+    if (mem.empty())
+        throw ConfigError(name + ": needs at least one memory level");
     for (const auto &[p, f] : matrixThroughput)
-        checkPositive(f, name + " matrix flops (" + precisionName(p) + ")");
+        if (!(f > 0.0))
+            throw notPositive(
+                name + " matrix flops (" + precisionName(p) + ")", f);
     for (const auto &[p, f] : vectorThroughput)
-        checkPositive(f, name + " vector flops (" + precisionName(p) + ")");
+        if (!(f > 0.0))
+            throw notPositive(
+                name + " vector flops (" + precisionName(p) + ")", f);
     for (size_t i = 0; i < mem.size(); ++i) {
         const MemoryLevel &m = mem[i];
-        checkConfig(!m.name.empty(), name + ": memory level needs a name");
-        checkPositive(m.capacity, name + " " + m.name + " capacity");
-        checkPositive(m.bandwidth, name + " " + m.name + " bandwidth");
-        checkConfig(m.utilization > 0.0 && m.utilization <= 1.0,
-                    name + " " + m.name + " utilization must be in (0,1]");
+        if (m.name.empty())
+            throw ConfigError(name + ": memory level needs a name");
+        if (!(m.capacity > 0.0))
+            throw notPositive(name + " " + m.name + " capacity",
+                              m.capacity);
+        if (!(m.bandwidth > 0.0))
+            throw notPositive(name + " " + m.name + " bandwidth",
+                              m.bandwidth);
+        if (!(m.utilization > 0.0 && m.utilization <= 1.0))
+            throw ConfigError(name + " " + m.name +
+                              " utilization must be in (0,1]");
         // Inner levels must be smaller than outer ones. Bandwidth is
         // deliberately NOT required to increase inward: advanced DRAM
         // stacks can out-run an older last-level cache, the regime
         // Fig. 9 of the paper studies ("the problem starts to become
         // L2-bound").
-        if (i > 0) {
-            checkConfig(m.capacity < mem[i - 1].capacity,
-                        name + ": memory level " + m.name +
-                        " must be smaller than " + mem[i - 1].name);
-        }
+        if (i > 0 && !(m.capacity < mem[i - 1].capacity))
+            throw ConfigError(name + ": memory level " + m.name +
+                              " must be smaller than " + mem[i - 1].name);
     }
-    checkConfig(matrixMaxEfficiency > 0.0 && matrixMaxEfficiency <= 1.0,
-                name + ": matrixMaxEfficiency must be in (0,1]");
-    checkConfig(gemmKHalf >= 0.0,
-                name + ": gemmKHalf must be non-negative");
-    checkConfig(gemvDramUtilization > 0.0 && gemvDramUtilization <= 1.0,
-                name + ": gemvDramUtilization must be in (0,1]");
-    checkConfig(kernelLaunchOverhead >= 0.0,
-                name + ": kernelLaunchOverhead must be non-negative");
+    if (!(matrixMaxEfficiency > 0.0 && matrixMaxEfficiency <= 1.0))
+        throw ConfigError(name + ": matrixMaxEfficiency must be in (0,1]");
+    if (!(gemmKHalf >= 0.0))
+        throw ConfigError(name + ": gemmKHalf must be non-negative");
+    if (!(gemvDramUtilization > 0.0 && gemvDramUtilization <= 1.0))
+        throw ConfigError(name + ": gemvDramUtilization must be in (0,1]");
+    if (!(kernelLaunchOverhead >= 0.0))
+        throw ConfigError(name +
+                          ": kernelLaunchOverhead must be non-negative");
 }
 
 } // namespace optimus

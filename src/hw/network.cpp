@@ -22,15 +22,19 @@ NetworkLink::effectiveBandwidth(double volume) const
 void
 NetworkLink::validate() const
 {
+    // Messages are built only when a check fails.
     checkConfig(!name.empty(), "network link needs a name");
-    checkPositive(bandwidth, name + " bandwidth");
-    checkConfig(latency >= 0.0, name + ": latency must be non-negative");
-    checkConfig(halfUtilVolume >= 0.0,
-                name + ": halfUtilVolume must be non-negative");
-    checkConfig(maxUtilization > 0.0 && maxUtilization <= 1.0,
-                name + ": maxUtilization must be in (0,1]");
-    checkConfig(collectiveOverhead >= 0.0,
-                name + ": collectiveOverhead must be non-negative");
+    if (!(bandwidth > 0.0))
+        throw notPositive(name + " bandwidth", bandwidth);
+    if (!(latency >= 0.0))
+        throw ConfigError(name + ": latency must be non-negative");
+    if (!(halfUtilVolume >= 0.0))
+        throw ConfigError(name + ": halfUtilVolume must be non-negative");
+    if (!(maxUtilization > 0.0 && maxUtilization <= 1.0))
+        throw ConfigError(name + ": maxUtilization must be in (0,1]");
+    if (!(collectiveOverhead >= 0.0))
+        throw ConfigError(name +
+                          ": collectiveOverhead must be non-negative");
 }
 
 } // namespace optimus

@@ -5,12 +5,14 @@
  *
  * Every step is priced directly, except that a caller may pass a
  * shared EvalCache: compute parts are then memoized under a binary
- * signature of their Op fields (planner candidates differing only in
- * DP degree lower to identical op lists). Cached values are
- * deterministic, so the cache cannot change results at any thread
- * count. A plan keeps no memo of its own: the few parts that repeat
- * within one plan (the recompute step's forward op list) cost less to
- * re-price than a signature lookup per part.
+ * signature of their Op fields. Cached values are deterministic, so
+ * the cache cannot change results at any thread count. A plan keeps
+ * no memo of its own: the few parts that repeat within one plan (the
+ * recompute step's forward op list) cost less to re-price than a
+ * signature lookup per part. The training planner needs no memo
+ * either: it prices each compute class once and hands the estimates
+ * to the second evaluatePlan overload, which runs them through the
+ * same step loop as freshly priced ones.
  *
  * The per-token ops of a decode token range (tokenOps) never enter
  * the cache: their contexts almost never repeat.
@@ -173,9 +175,40 @@ boundCategory(const std::string &phase, BoundBucket b)
     return phase + "-other";
 }
 
+namespace {
+
+/**
+ * A compute step's per-instance and total time from its part
+ * estimates (ev.partEsts, one per part): each part's time scaled,
+ * then summed or maxed by st.combine, then repeated.
+ */
+void
+combineParts(const PlanStep &st, double instances, double tokens,
+             StepEval &ev)
+{
+    double combined = 0.0;
+    for (size_t pi = 0; pi < st.parts.size(); ++pi) {
+        const double scaled = ev.partEsts[pi].time * st.parts[pi].scale;
+        if (pi == 0)
+            combined = scaled;
+        else if (st.combine == PartCombine::Max)
+            combined = std::max(combined, scaled);
+        else
+            combined += scaled;
+    }
+    ev.perInstance = combined;
+    ev.total = ev.perInstance * instances * tokens;
+}
+
+/**
+ * The step loop behind both evaluatePlan overloads. Step i <
+ * priced.size() takes its evaluation from priced[i] and only goes
+ * through combineParts; every other step is priced here.
+ */
 EvaluatedPlan
-evaluatePlan(KernelPlan plan, const System &sys,
-             const EvaluateOptions &opts)
+evaluateSteps(KernelPlan plan, const System &sys,
+              const EvaluateOptions &opts,
+              const std::vector<StepEval> &priced)
 {
     EvaluatedPlan ep;
     ep.dev = sys.device;
@@ -186,13 +219,22 @@ evaluatePlan(KernelPlan plan, const System &sys,
     // every per-iteration step and before DP/optimizer).
     double busy = 0.0;
 
-    for (const PlanStep &st : plan.steps) {
-        StepEval ev;
-        ev.category = st.category;
+    for (size_t i = 0; i < plan.steps.size(); ++i) {
+        const PlanStep &st = plan.steps[i];
         const double instances =
             double(st.repeatLayer) * double(st.repeatMicrobatch);
         const double tokens = double(st.repeatToken);
 
+        if (i < priced.size()) {
+            StepEval ev = priced[i];
+            combineParts(st, instances, tokens, ev);
+            busy += ev.total;
+            ep.evals.push_back(std::move(ev));
+            continue;
+        }
+
+        StepEval ev;
+        ev.category = st.category;
         switch (st.kind) {
           case StepKind::Compute: {
             if (!st.tokenOps.empty()) {
@@ -211,21 +253,11 @@ evaluatePlan(KernelPlan plan, const System &sys,
                 }
                 break;
             }
-            double combined = 0.0;
-            for (size_t pi = 0; pi < st.parts.size(); ++pi) {
-                KernelEstimate est =
-                    evaluatePart(ep.dev, st.parts[pi], opts.cache);
-                double scaled = est.time * st.parts[pi].scale;
-                if (pi == 0)
-                    combined = scaled;
-                else if (st.combine == PartCombine::Max)
-                    combined = std::max(combined, scaled);
-                else
-                    combined += scaled;
-                ev.partEsts.push_back(std::move(est));
-            }
-            ev.perInstance = combined;
-            ev.total = ev.perInstance * instances * tokens;
+            ev.partEsts.reserve(st.parts.size());
+            for (const ComputePart &part : st.parts)
+                ev.partEsts.push_back(
+                    evaluatePart(ep.dev, part, opts.cache));
+            combineParts(st, instances, tokens, ev);
             // Bound-bucketed steps are single-op by construction.
             if (st.bucketByBound) {
                 ev.bucket = boundBucket(st.parts[0].ops[0], ev.partEsts[0]);
@@ -262,6 +294,22 @@ evaluatePlan(KernelPlan plan, const System &sys,
 
     ep.plan = std::move(plan);
     return ep;
+}
+
+} // namespace
+
+EvaluatedPlan
+evaluatePlan(KernelPlan plan, const System &sys,
+             const EvaluateOptions &opts)
+{
+    return evaluateSteps(std::move(plan), sys, opts, {});
+}
+
+EvaluatedPlan
+evaluatePlan(KernelPlan plan, const System &sys,
+             const std::vector<StepEval> &priced)
+{
+    return evaluateSteps(std::move(plan), sys, {}, priced);
 }
 
 } // namespace plan

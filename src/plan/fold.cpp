@@ -250,9 +250,10 @@ foldTraining(const EvaluatedPlan &ep, TraceSession *trace)
         const PlanStep &st = ep.plan.steps[i];
         const StepEval &ev = ep.evals[i];
         double *field = breakdownField(f.time, ev.category);
-        checkConfig(field != nullptr,
-                    "training plan step '" + st.name +
-                        "' has unknown category '" + ev.category + "'");
+        if (field == nullptr)
+            throw ConfigError("training plan step '" + st.name +
+                              "' has unknown category '" + ev.category +
+                              "'");
         *field += ev.total;
         if (st.kind == StepKind::Compute && !ev.partEsts.empty()) {
             if (st.name == "layer-fwd")

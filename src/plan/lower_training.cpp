@@ -5,6 +5,13 @@
  * Step order is load-bearing: it fixes the breakdown-field summation
  * order (so the fold reproduces the historical TrainingBreakdown
  * numbers) and the busy-time prefix the pipeline-bubble step scales.
+ *
+ * The lowering has two parts. The compute part (lowerTrainingCompute)
+ * builds the op-list steps, which depend only on the compute class;
+ * the mapping part (lowerTrainingMapping) stamps the candidate's
+ * repeat counts on them and appends every communication and
+ * synthetic step. The training planner prices each compute class
+ * once and runs only the mapping part per candidate.
  */
 
 #include "plan/plan.h"
@@ -19,36 +26,13 @@
 namespace optimus {
 namespace plan {
 
-KernelPlan
-lowerTraining(const TransformerConfig &cfg, const System &sys,
-              const ParallelConfig &par, long long global_batch,
-              const TrainingOptions &opts)
+std::vector<PlanStep>
+lowerTrainingCompute(const TransformerConfig &cfg, const ParallelConfig &par,
+                     const TrainingOptions &opts)
 {
-    cfg.validate();
-    sys.validate();
-    par.validate(cfg, sys, global_batch);
-    checkPositive(opts.seqLength, "seqLength");
-    checkConfig(opts.seqLength % par.contextParallel == 0,
-                "sequence length must divide by the CP degree");
-
     const long long tp = par.tensorParallel;
-    const long long pp = par.pipelineParallel;
-    const long long layers_local = cfg.numLayers / pp;
-    const long long m = par.microbatches(global_batch);
     const double act_bytes = opts.memory.activationBytes;
-
-    KernelPlan kp;
-    kp.phase = "training";
-    // The critical (worst) pipeline stage — the one whose per-device
-    // time the analytical model predicts; tracing all pp stages would
-    // multiply category sums by pp.
-    kp.lanes = {"stage0/fwd",  "stage0/bwd", "stage0/recompute",
-                "stage0/comm", "stage0/other", "kernels/fwd",
-                "kernels/bwd"};
-    kp.counters = {{"train/microbatches", double(m)},
-                   {"train/layers-per-stage", double(layers_local)}};
-    kp.microbatches = m;
-    kp.layersPerStage = layers_local;
+    std::vector<PlanStep> steps;
 
     LayerGraphParams gp;
     gp.batch = par.microbatchSize;
@@ -75,6 +59,7 @@ lowerTraining(const TransformerConfig &cfg, const System &sys,
         recomputeForwardFraction(cfg, ap, opts.recompute);
 
     // ---- Per-(microbatch, layer) compute ----------------------------
+    // Repeat counts stay 1 here: the mapping part stamps them.
     {
         PlanStep s;
         s.kind = StepKind::Compute;
@@ -82,12 +67,10 @@ lowerTraining(const TransformerConfig &cfg, const System &sys,
         s.name = "layer-fwd";
         s.category = "forward";
         s.phase = "train";
-        s.repeatMicrobatch = m;
-        s.repeatLayer = layers_local;
         s.coordMicrobatch = s.coordLayer = true;
         s.detailLane = "kernels/fwd";
         s.parts.push_back({"layer-fwd", fwd_ops, 1.0});
-        kp.steps.push_back(std::move(s));
+        steps.push_back(std::move(s));
     }
     {
         PlanStep s;
@@ -96,12 +79,10 @@ lowerTraining(const TransformerConfig &cfg, const System &sys,
         s.name = "layer-bwd";
         s.category = "backward";
         s.phase = "train";
-        s.repeatMicrobatch = m;
-        s.repeatLayer = layers_local;
         s.coordMicrobatch = s.coordLayer = true;
         s.detailLane = "kernels/bwd";
         s.parts.push_back({"layer-bwd", std::move(bwd_ops), 1.0});
-        kp.steps.push_back(std::move(s));
+        steps.push_back(std::move(s));
     }
     if (recompute_frac > 0.0) {
         PlanStep s;
@@ -110,11 +91,9 @@ lowerTraining(const TransformerConfig &cfg, const System &sys,
         s.name = "layer-recompute";
         s.category = "recompute";
         s.phase = "train";
-        s.repeatMicrobatch = m;
-        s.repeatLayer = layers_local;
         s.coordMicrobatch = s.coordLayer = true;
-        s.parts.push_back({"layer-fwd", fwd_ops, recompute_frac});
-        kp.steps.push_back(std::move(s));
+        s.parts.push_back({"layer-fwd", std::move(fwd_ops), recompute_frac});
+        steps.push_back(std::move(s));
     }
 
     // ---- Embedding + LM head (worst stage carries both) -------------
@@ -134,17 +113,55 @@ lowerTraining(const TransformerConfig &cfg, const System &sys,
         s.name = "embed+head";
         s.category = "embedding";
         s.phase = "train";
-        s.repeatMicrobatch = m;
         s.coordMicrobatch = true;
         // Forward + backward (2x) for the head GEMM; embedding
-        // backward is a scatter of comparable traffic. With pipeline
-        // parallelism the embedding and the head live on different
-        // stages, so the critical stage carries only the larger part.
-        s.combine = (pp > 1) ? PartCombine::Max : PartCombine::Sum;
+        // backward is a scatter of comparable traffic.
         s.parts.push_back(
             {"head", headOps(cfg, mb_tokens, tp, opts.precision), 3.0});
         s.parts.push_back({"embedding", {embed}, 2.0});
-        kp.steps.push_back(std::move(s));
+        steps.push_back(std::move(s));
+    }
+
+    return steps;
+}
+
+void
+lowerTrainingMapping(const TransformerConfig &cfg, const System &sys,
+                     const ParallelConfig &par, long long global_batch,
+                     const TrainingOptions &opts, KernelPlan &kp)
+{
+    const long long tp = par.tensorParallel;
+    const long long pp = par.pipelineParallel;
+    const long long layers_local = cfg.numLayers / pp;
+    const long long m = par.microbatches(global_batch);
+    const double act_bytes = opts.memory.activationBytes;
+
+    kp.phase = "training";
+    // The critical (worst) pipeline stage — the one whose per-device
+    // time the analytical model predicts; tracing all pp stages would
+    // multiply category sums by pp.
+    kp.lanes = {"stage0/fwd",  "stage0/bwd", "stage0/recompute",
+                "stage0/comm", "stage0/other", "kernels/fwd",
+                "kernels/bwd"};
+    kp.counters = {{"train/microbatches", double(m)},
+                   {"train/layers-per-stage", double(layers_local)}};
+    kp.microbatches = m;
+    kp.layersPerStage = layers_local;
+
+    // At most eight mapping steps follow: TP, CP, EP, PP, bubble, DP,
+    // ZeRO-3 and optimizer.
+    kp.steps.reserve(kp.steps.size() + 8);
+
+    // ---- Repeats of the compute steps -------------------------------
+    for (PlanStep &s : kp.steps) {
+        s.repeatMicrobatch = m;
+        if (s.coordLayer)
+            s.repeatLayer = layers_local;
+        // With pipeline parallelism the embedding and the head live
+        // on different stages, so the critical stage carries only the
+        // larger part.
+        if (s.name == "embed+head")
+            s.combine = (pp > 1) ? PartCombine::Max : PartCombine::Sum;
     }
 
     // ---- Tensor/sequence-parallel collectives -----------------------
@@ -324,7 +341,23 @@ lowerTraining(const TransformerConfig &cfg, const System &sys,
         s.syntheticValue = params * (3.0 * 4.0 + 2.0 + 3.0 * 4.0 + 2.0);
         kp.steps.push_back(std::move(s));
     }
+}
 
+KernelPlan
+lowerTraining(const TransformerConfig &cfg, const System &sys,
+              const ParallelConfig &par, long long global_batch,
+              const TrainingOptions &opts)
+{
+    cfg.validate();
+    sys.validate();
+    par.validate(cfg, sys, global_batch);
+    checkPositive(opts.seqLength, "seqLength");
+    checkConfig(opts.seqLength % par.contextParallel == 0,
+                "sequence length must divide by the CP degree");
+
+    KernelPlan kp;
+    kp.steps = lowerTrainingCompute(cfg, par, opts);
+    lowerTrainingMapping(cfg, sys, par, global_batch, opts, kp);
     return kp;
 }
 

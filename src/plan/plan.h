@@ -243,10 +243,38 @@ struct EvaluatedPlan
 
 // ---- Lower -----------------------------------------------------------
 
-/** Lower a training configuration (validates its inputs). */
+/**
+ * Lower a training configuration (validates its inputs): the compute
+ * part followed by the mapping part.
+ */
 KernelPlan lowerTraining(const TransformerConfig &cfg, const System &sys,
                          const ParallelConfig &par, long long global_batch,
                          const TrainingOptions &opts);
+
+/**
+ * The compute part of lowerTraining: the layer-fwd, layer-bwd,
+ * layer-recompute (when the strategy recomputes anything) and
+ * embed+head steps, with unit repeat counts and a Sum combine. For a
+ * fixed model, precision, sequence length and flash-attention choice
+ * it depends only on the compute class: TP, SP, EP, CP, microbatch
+ * and recompute. Does not validate its inputs.
+ */
+std::vector<PlanStep> lowerTrainingCompute(const TransformerConfig &cfg,
+                                           const ParallelConfig &par,
+                                           const TrainingOptions &opts);
+
+/**
+ * The mapping part of lowerTraining, applied to @p kp whose steps are
+ * a compute part: stamps the candidate's repeat counts (microbatches,
+ * layers per stage) and the embed+head PartCombine on those steps,
+ * then appends the TP/CP/EP collectives, pp-p2p, the pipeline bubble,
+ * the DP/ZeRO collectives and the optimizer step, and sets the plan's
+ * lanes, counters and schedule fields. Does not validate its inputs.
+ */
+void lowerTrainingMapping(const TransformerConfig &cfg, const System &sys,
+                          const ParallelConfig &par,
+                          long long global_batch,
+                          const TrainingOptions &opts, KernelPlan &kp);
 
 /** Lower an inference configuration (validates its inputs). */
 KernelPlan lowerInference(const TransformerConfig &cfg, const System &sys,
@@ -279,6 +307,19 @@ void lowerDecodeTokens(const TransformerConfig &cfg, const System &sys,
  */
 EvaluatedPlan evaluatePlan(KernelPlan plan, const System &sys,
                            const EvaluateOptions &opts = {});
+
+/**
+ * evaluatePlan for a plan whose first priced.size() steps are compute
+ * steps priced earlier: step i < priced.size() takes its part
+ * estimates, per-op detail and bound bucket from priced[i] (an
+ * evaluation of a step with the same parts) and reads only the scales
+ * of its own parts, so their op lists may be empty. Its combine and
+ * repeat counts, and every later step, go through the same step loop
+ * as in evaluatePlan. The training planner prices each compute class
+ * once this way.
+ */
+EvaluatedPlan evaluatePlan(KernelPlan plan, const System &sys,
+                           const std::vector<StepEval> &priced);
 
 /**
  * Bound bucket of a bucketByBound kernel: GemmCompute or GemmMemory
@@ -365,10 +406,30 @@ struct InferenceRun
 };
 
 /**
+ * Model FLOPs of one training batch: forward and backward, without
+ * recomputation.
+ */
+double modelFlopsPerBatch(const TransformerConfig &cfg,
+                          long long global_batch, long long seq,
+                          Precision precision);
+
+/**
+ * The report of an evaluated training plan: its folded breakdown and
+ * layer estimates plus the memory / model-FLOPs / MFU tail.
+ * @p memory is the mapping's trainingMemoryPerDevice and
+ * @p model_flops the batch's modelFlopsPerBatch. runTraining and the
+ * training planner both build their reports here.
+ */
+TrainingReport trainingReport(const EvaluatedPlan &ep, FoldedTraining f,
+                              const System &sys, Precision precision,
+                              const TrainingMemory &memory,
+                              double model_flops);
+
+/**
  * lower -> evaluate -> fold, plus the memory / model-FLOPs / MFU tail.
  * @p eval carries the evaluator knobs: `detail` forces per-op
  * kernel-detail evaluation (implied by an attached trace session) and
- * `cache` shares a memo across runs (the planner's candidate sweep).
+ * `cache` shares a memo across runs.
  */
 TrainingRun runTraining(const TransformerConfig &cfg, const System &sys,
                         const ParallelConfig &par, long long global_batch,

@@ -15,9 +15,6 @@
 namespace optimus {
 namespace plan {
 
-namespace {
-
-/** Model FLOPs for one batch (fwd + bwd, no recompute). */
 double
 modelFlopsPerBatch(const TransformerConfig &cfg, long long global_batch,
                    long long seq, Precision precision)
@@ -41,7 +38,25 @@ modelFlopsPerBatch(const TransformerConfig &cfg, long long global_batch,
     return 3.0 * (layer_fwd * double(cfg.numLayers) + head_fwd);
 }
 
-} // namespace
+TrainingReport
+trainingReport(const EvaluatedPlan &ep, FoldedTraining f,
+               const System &sys, Precision precision,
+               const TrainingMemory &memory, double model_flops)
+{
+    TrainingReport rep;
+    rep.time = f.time;
+    rep.layerForward = std::move(f.layerForward);
+    rep.layerBackward = std::move(f.layerBackward);
+    rep.microbatches = ep.plan.microbatches;
+    rep.bubbleFraction = ep.plan.bubbleFraction;
+    rep.timePerBatch = rep.time.total();
+    rep.memory = memory;
+    rep.modelFlops = model_flops;
+    double system_peak =
+        ep.dev.matrixFlops(precision) * double(sys.totalDevices());
+    rep.mfu = rep.modelFlops / (rep.timePerBatch * system_peak);
+    return rep;
+}
 
 TrainingRun
 runTraining(const TransformerConfig &cfg, const System &sys,
@@ -54,27 +69,16 @@ runTraining(const TransformerConfig &cfg, const System &sys,
     TrainingRun run;
     run.plan = evaluatePlan(std::move(kp), sys, eval);
     FoldedTraining f = foldTraining(run.plan, opts.trace);
-
-    TrainingReport &rep = run.report;
-    rep.time = f.time;
-    rep.layerForward = f.layerForward;
-    rep.layerBackward = f.layerBackward;
-    rep.microbatches = run.plan.plan.microbatches;
-    rep.bubbleFraction = run.plan.plan.bubbleFraction;
-    rep.timePerBatch = rep.time.total();
-
-    rep.memory = trainingMemoryPerDevice(cfg, par, global_batch,
-                                         opts.seqLength, opts.recompute,
-                                         opts.memory);
-    rep.modelFlops = modelFlopsPerBatch(cfg, global_batch,
-                                        opts.seqLength, opts.precision);
-    double system_peak = run.plan.dev.matrixFlops(opts.precision) *
-                         double(sys.totalDevices());
-    rep.mfu = rep.modelFlops / (rep.timePerBatch * system_peak);
+    run.report = trainingReport(
+        run.plan, std::move(f), sys, opts.precision,
+        trainingMemoryPerDevice(cfg, par, global_batch, opts.seqLength,
+                                opts.recompute, opts.memory),
+        modelFlopsPerBatch(cfg, global_batch, opts.seqLength,
+                           opts.precision));
     if (tracing(opts.trace)) {
         opts.trace->counterSet("train/time-per-batch-s",
-                               rep.timePerBatch);
-        opts.trace->counterSet("train/mfu", rep.mfu);
+                               run.report.timePerBatch);
+        opts.trace->counterSet("train/mfu", run.report.mfu);
     }
     return run;
 }

@@ -1,6 +1,8 @@
 #include "planner/planner.h"
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 
 #include "exec/exec.h"
 #include "lint/lint.h"
@@ -52,8 +54,23 @@ planTraining(const TransformerConfig &model, const System &sys,
     {
         ParallelConfig parallel;
         TrainingOptions options;
+        TrainingMemory memory;
+        size_t computeClass = 0;  ///< index into classes
     };
     std::vector<Candidate> candidates;
+
+    // A compute class: the candidates whose compute part lowers to
+    // the same op lists (plan::lowerTrainingCompute). Everything else
+    // that part reads is fixed for the whole sweep.
+    using ClassKey = std::tuple<long long, bool, long long, Recompute>;
+    struct ComputeClass
+    {
+        size_t first = 0;  ///< its first candidate
+        std::vector<plan::PlanStep> steps;  ///< op lists dropped
+        std::vector<plan::StepEval> priced;
+    };
+    std::map<ClassKey, size_t> class_index;
+    std::vector<ComputeClass> classes;
 
     for (long long tp = 1; tp <= sys.devicesPerNode; tp *= 2) {
         for (long long pp = 1;
@@ -116,8 +133,15 @@ planTraining(const TransformerConfig &model, const System &sys,
                             if (tron)
                                 tr->counterAdd(
                                     "planner/plans-evaluated");
+                            const ClassKey key{tp, par.sequenceParallel,
+                                               micro, r};
+                            auto [it, added] = class_index.try_emplace(
+                                key, classes.size());
+                            if (added)
+                                classes.push_back(
+                                    {candidates.size(), {}, {}});
                             candidates.push_back(
-                                Candidate{par, topts});
+                                Candidate{par, topts, mem, it->second});
                         }
                     }
                 }
@@ -125,32 +149,58 @@ planTraining(const TransformerConfig &model, const System &sys,
         }
     }
 
-    // Phase 2: evaluate every surviving candidate. Evaluations are
-    // independent pure functions, fanned out through the exec layer
-    // and written by slot — the plans vector is bit-identical to a
-    // serial run at any thread count (and sized from the candidate
-    // count up front). Candidates with different (tp, microbatch,
-    // recompute) mappings still lower to many identical kernels on
-    // the same device, so one shared estimate cache serves the whole
-    // sweep; cached estimates are exact replays, keeping results
-    // independent of hit order and thread count.
-    plan::EvalCache cache;
-    std::vector<TrainingPlan> plans =
-        exec::parallelMap(
-            static_cast<long long>(candidates.size()), opts.threads,
-            [&](long long i) {
-                const Candidate &c =
-                    candidates[static_cast<size_t>(i)];
-                TrainingPlan plan;
-                plan.parallel = c.parallel;
-                plan.options = c.options;
-                plan.report =
-                    plan::runTraining(model, sys, c.parallel,
-                                      global_batch, plan.options,
-                                      {.cache = &cache})
-                        .report;
-                return plan;
-            });
+    // Phase 2: price each compute class once. The classes are
+    // independent pure functions, fanned out through the exec layer.
+    // The candidates of a class need only the priced estimates and
+    // the parts' scales, so the op lists are dropped.
+    if (tron)
+        tr->counterAdd("planner/compute-classes",
+                       double(classes.size()));
+    exec::parallelFor(
+        static_cast<long long>(classes.size()), opts.threads,
+        [&](long long k) {
+            ComputeClass &cc = classes[static_cast<size_t>(k)];
+            const Candidate &c = candidates[cc.first];
+            plan::KernelPlan kp;
+            kp.steps = plan::lowerTrainingCompute(model, c.parallel,
+                                                  c.options);
+            plan::EvaluatedPlan ep =
+                plan::evaluatePlan(std::move(kp), sys);
+            for (plan::PlanStep &st : ep.plan.steps)
+                for (plan::ComputePart &part : st.parts)
+                    part.ops = {};
+            cc.steps = std::move(ep.plan.steps);
+            cc.priced = std::move(ep.evals);
+        });
+
+    // Phase 3: map every candidate onto its class's priced compute
+    // steps: lower and evaluate only the mapping part, then fold.
+    // Results are written by slot in enumeration order, so the plans
+    // vector (and the sort below, which is not stable) is
+    // bit-identical to a serial run at any thread count. The model's
+    // FLOPs per batch are the same for every candidate, and each
+    // candidate's memory was computed during enumeration.
+    const double model_flops = plan::modelFlopsPerBatch(
+        model, global_batch, opts.seqLength, opts.precision);
+    std::vector<TrainingPlan> plans = exec::parallelMap(
+        static_cast<long long>(candidates.size()), opts.threads,
+        [&](long long i) {
+            const Candidate &c = candidates[static_cast<size_t>(i)];
+            const ComputeClass &cc = classes[c.computeClass];
+            plan::KernelPlan kp;
+            kp.steps = cc.steps;
+            plan::lowerTrainingMapping(model, sys, c.parallel,
+                                       global_batch, c.options, kp);
+            plan::EvaluatedPlan ep =
+                plan::evaluatePlan(std::move(kp), sys, cc.priced);
+            TrainingPlan plan;
+            plan.parallel = c.parallel;
+            plan.options = c.options;
+            plan.report = plan::trainingReport(
+                ep, plan::foldTraining(ep, nullptr), sys,
+                opts.precision, c.memory, model_flops);
+            return plan;
+        });
 
     std::sort(plans.begin(), plans.end(),
               [](const TrainingPlan &a, const TrainingPlan &b) {

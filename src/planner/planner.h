@@ -48,7 +48,10 @@ struct TrainingPlannerOptions
      * Optional trace sink: counts candidate mappings enumerated
      * ("planner/mappings-enumerated"), mappings discarded by lint
      * ("planner/pruned-illegal") or memory ("planner/pruned-memory"),
-     * and full evaluations ("planner/plans-evaluated").
+     * candidates evaluated ("planner/plans-evaluated"), and the
+     * distinct compute classes among them, (TP, SP, microbatch,
+     * recompute), whose compute steps are priced once each
+     * ("planner/compute-classes").
      */
     TraceSession *trace = nullptr;
 };

@@ -13,8 +13,7 @@ void
 checkPositive(double value, std::string_view name)
 {
     if (!(value > 0.0))
-        throw ConfigError(std::string(name) + " must be positive, got " +
-                          std::to_string(value));
+        throw notPositive(name, value);
 }
 
 void
@@ -23,6 +22,13 @@ checkPositive(long long value, std::string_view name)
     if (value <= 0)
         throw ConfigError(std::string(name) + " must be positive, got " +
                           std::to_string(value));
+}
+
+ConfigError
+notPositive(std::string_view name, double value)
+{
+    return ConfigError(std::string(name) + " must be positive, got " +
+                       std::to_string(value));
 }
 
 } // namespace optimus

@@ -45,6 +45,12 @@ void checkPositive(double value, std::string_view name);
 /** Throw ConfigError unless @p value is a positive integer. */
 void checkPositive(long long value, std::string_view name);
 
+/**
+ * The error checkPositive(@p value, @p name) throws, for checks that
+ * build @p name only once they fail.
+ */
+ConfigError notPositive(std::string_view name, double value);
+
 } // namespace optimus
 
 #endif // OPTIMUS_UTIL_ERROR_H

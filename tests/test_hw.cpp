@@ -110,6 +110,35 @@ TEST(Diagnostics, CheckPositiveMessages)
     EXPECT_EQ("", configErrorText([&] { checkPositive(1LL, name); }));
 }
 
+TEST(Diagnostics, DeviceValidateMessages)
+{
+    Device d = presets::a100_80gb();
+    d.mem[1].bandwidth = 0.0;
+    EXPECT_EQ("config error: A100-80GB L2 bandwidth must be positive, "
+              "got 0.000000",
+              configErrorText([&] { d.validate(); }));
+    d = presets::a100_80gb();
+    d.mem[2].capacity = d.mem[1].capacity;
+    EXPECT_EQ("config error: A100-80GB: memory level SMEM must be "
+              "smaller than L2",
+              configErrorText([&] { d.validate(); }));
+    EXPECT_EQ("", configErrorText([] { presets::a100_80gb().validate(); }));
+}
+
+TEST(Diagnostics, LinkValidateMessages)
+{
+    NetworkLink l = presets::nvlink3();
+    l.maxUtilization = 1.5;
+    EXPECT_EQ("config error: NVLink3: maxUtilization must be in (0,1]",
+              configErrorText([&] { l.validate(); }));
+    l = presets::nvlink3();
+    l.bandwidth = -2.0;
+    EXPECT_EQ("config error: NVLink3 bandwidth must be positive, "
+              "got -2.000000",
+              configErrorText([&] { l.validate(); }));
+    EXPECT_EQ("", configErrorText([] { presets::nvlink3().validate(); }));
+}
+
 TEST(Device, ValidateRejectsBrokenHierarchy)
 {
     Device d = presets::a100_80gb();

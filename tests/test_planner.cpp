@@ -3,11 +3,16 @@
  * Tests for the parallelization planner.
  */
 
+#include <limits>
+#include <set>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "hw/presets.h"
 #include "memory/footprint.h"
 #include "planner/planner.h"
+#include "trace/trace.h"
 #include "util/error.h"
 #include "util/units.h"
 #include "workload/presets.h"
@@ -94,6 +99,136 @@ TEST(TrainingPlanner, ZeroStageWidensTheSpace)
         planTraining(models::mixtral8x7b(), sys, 32, zero).size();
     EXPECT_GT(n_plain, 0u);
     EXPECT_GT(n_zero, n_plain);
+}
+
+/** A planner sweep with every evaluated candidate kept. */
+struct Sweep
+{
+    TransformerConfig model;
+    System sys;
+    long long batch = 0;
+    TrainingPlannerOptions opts;
+};
+
+std::vector<Sweep>
+unboundedSweeps()
+{
+    Sweep gpt{models::gpt175b(), presets::dgxA100(16), 128, {}};
+    gpt.opts.microbatchSizes = {1, 2, 4, 8};
+    gpt.opts.zeroStages = {0, 1, 2, 3};
+    Sweep moe{models::mixtral8x7b(), presets::dgxA100(4), 32, {}};
+    moe.opts.zeroStages = {0, 2};
+    std::vector<Sweep> out = {gpt, moe};
+    for (Sweep &s : out)
+        s.opts.keep = std::numeric_limits<size_t>::max();
+    return out;
+}
+
+void
+expectSameEstimate(const KernelEstimate &a, const KernelEstimate &b)
+{
+    EXPECT_EQ(a.kernel, b.kernel);
+    EXPECT_EQ(a.flops, b.flops);
+    EXPECT_EQ(a.bytesPerLevel, b.bytesPerLevel);
+    EXPECT_EQ(a.computeTime, b.computeTime);
+    EXPECT_EQ(a.memTimePerLevel, b.memTimePerLevel);
+    EXPECT_EQ(a.overhead, b.overhead);
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(a.boundLevel, b.boundLevel);
+}
+
+TEST(TrainingPlanner, EveryPlanEqualsDirectEvaluation)
+{
+    for (const Sweep &s : unboundedSweeps()) {
+        std::vector<TrainingPlan> plans =
+            planTraining(s.model, s.sys, s.batch, s.opts);
+        ASSERT_FALSE(plans.empty()) << s.model.name;
+        for (const TrainingPlan &p : plans) {
+            SCOPED_TRACE(s.model.name + " " + p.parallel.label());
+            const TrainingReport d = evaluateTraining(
+                s.model, s.sys, p.parallel, s.batch, p.options);
+            const TrainingReport &r = p.report;
+            EXPECT_EQ(r.timePerBatch, d.timePerBatch);
+            EXPECT_EQ(r.time.forward, d.time.forward);
+            EXPECT_EQ(r.time.backward, d.time.backward);
+            EXPECT_EQ(r.time.recompute, d.time.recompute);
+            EXPECT_EQ(r.time.embedding, d.time.embedding);
+            EXPECT_EQ(r.time.tpComm, d.time.tpComm);
+            EXPECT_EQ(r.time.cpComm, d.time.cpComm);
+            EXPECT_EQ(r.time.epComm, d.time.epComm);
+            EXPECT_EQ(r.time.ppComm, d.time.ppComm);
+            EXPECT_EQ(r.time.dpComm, d.time.dpComm);
+            EXPECT_EQ(r.time.bubble, d.time.bubble);
+            EXPECT_EQ(r.time.optimizer, d.time.optimizer);
+            EXPECT_EQ(r.memory.weights, d.memory.weights);
+            EXPECT_EQ(r.memory.gradients, d.memory.gradients);
+            EXPECT_EQ(r.memory.optimizer, d.memory.optimizer);
+            EXPECT_EQ(r.memory.activations, d.memory.activations);
+            EXPECT_EQ(r.microbatches, d.microbatches);
+            EXPECT_EQ(r.bubbleFraction, d.bubbleFraction);
+            EXPECT_EQ(r.modelFlops, d.modelFlops);
+            EXPECT_EQ(r.mfu, d.mfu);
+            expectSameEstimate(r.layerForward, d.layerForward);
+            expectSameEstimate(r.layerBackward, d.layerBackward);
+        }
+    }
+}
+
+TEST(TrainingPlanner, OrderIsIdenticalAtAnyThreadCount)
+{
+    for (Sweep s : unboundedSweeps()) {
+        s.opts.threads = 1;
+        const std::vector<TrainingPlan> serial =
+            planTraining(s.model, s.sys, s.batch, s.opts);
+        // ZeRO-1 and ZeRO-2 plans of one mapping tie exactly on
+        // timePerBatch, so the order of ties is part of the check.
+        size_t ties = 0;
+        for (size_t i = 1; i < serial.size(); ++i)
+            ties += serial[i - 1].report.timePerBatch ==
+                    serial[i].report.timePerBatch;
+        EXPECT_GT(ties, 0u) << s.model.name;
+        for (int threads : {2, 8}) {
+            s.opts.threads = threads;
+            const std::vector<TrainingPlan> par =
+                planTraining(s.model, s.sys, s.batch, s.opts);
+            ASSERT_EQ(par.size(), serial.size());
+            for (size_t i = 0; i < par.size(); ++i) {
+                SCOPED_TRACE(s.model.name + " rank " + std::to_string(i) +
+                             " at " + std::to_string(threads) + " threads");
+                EXPECT_EQ(par[i].parallel.label(), serial[i].parallel.label());
+                EXPECT_EQ(par[i].parallel.microbatchSize,
+                          serial[i].parallel.microbatchSize);
+                EXPECT_EQ(par[i].options.recompute,
+                          serial[i].options.recompute);
+                EXPECT_EQ(par[i].options.memory.zeroStage,
+                          serial[i].options.memory.zeroStage);
+                EXPECT_EQ(par[i].report.timePerBatch,
+                          serial[i].report.timePerBatch);
+            }
+        }
+    }
+}
+
+TEST(TrainingPlanner, CountsComputeClasses)
+{
+    for (Sweep s : unboundedSweeps()) {
+        TraceSession tr;
+        s.opts.trace = &tr;
+        std::vector<TrainingPlan> plans =
+            planTraining(s.model, s.sys, s.batch, s.opts);
+        // keep is unbounded, so the plans are the evaluated candidates.
+        std::set<std::tuple<long long, bool, long long, Recompute>> keys;
+        for (const TrainingPlan &p : plans)
+            keys.insert({p.parallel.tensorParallel,
+                         p.parallel.sequenceParallel,
+                         p.parallel.microbatchSize, p.options.recompute});
+        EXPECT_EQ(tr.counter("planner/plans-evaluated"),
+                  double(plans.size()));
+        EXPECT_EQ(tr.counter("planner/compute-classes"),
+                  double(keys.size()))
+            << s.model.name;
+        EXPECT_LT(keys.size(), plans.size());
+    }
 }
 
 TEST(ServingPlanner, RanksByPerDeviceThroughput)

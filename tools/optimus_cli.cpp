@@ -246,11 +246,22 @@ cmdServe(const Args &args)
     TransformerConfig model = resolveModel(args, cfg);
     System sys = resolveSystem(args, cfg);
 
+    // Serving defaults, then the config's inference section, then
+    // the flags.
     ServingOptions opts;
-    opts.tensorParallel = args.getInt("tp", 1);
-    opts.promptLength = args.getInt("prompt", 512);
-    opts.generateLength = args.getInt("generate", 256);
-    opts.precision = parsePrecision(args.get("precision", "fp16"));
+    if (cfg.isObject() && cfg.has("inference")) {
+        const InferenceOptions io = resolveInferenceOptions(args, cfg);
+        opts.tensorParallel = io.tensorParallel;
+        opts.promptLength = io.promptLength;
+        opts.generateLength = io.generateLength;
+        opts.precision = io.precision;
+        opts.kvPrecision = io.kvPrecision;
+    }
+    opts.tensorParallel = args.getInt("tp", opts.tensorParallel);
+    opts.promptLength = args.getInt("prompt", opts.promptLength);
+    opts.generateLength = args.getInt("generate", opts.generateLength);
+    if (args.has("precision"))
+        opts.precision = parsePrecision(args.get("precision"));
 
     Table out({"Batch", "tok/s", "req/s", "ms/token", "TTFT (ms)",
                "fits", "$/Mtok"});
