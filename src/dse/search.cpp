@@ -35,7 +35,7 @@ optimizeAllocation(const TechConfig &tech,
     best.objective = std::numeric_limits<double>::infinity();
     int evals = 0;
     TraceSession *tr = opts.trace;
-    const bool tron = tracing(tr);
+    const bool tron = tr != nullptr;
 
     struct Eval
     {

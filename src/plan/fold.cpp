@@ -103,7 +103,7 @@ TraceSpan
 instanceSpan(const Device &dev, const PlanStep &st, const StepEval &ev,
              const BucketCategories &cats, long long t)
 {
-    if (st.kernelDetail)
+    if (st.bucketByBound)
         return kernelSpan(dev, st.name, tokenCategory(st, ev, cats, t),
                           tokenEstimate(st, ev, t));
     TraceSpan s;
@@ -117,8 +117,9 @@ instanceSpan(const Device &dev, const PlanStep &st, const StepEval &ev,
  * Walk the deterministic span stream of an evaluated plan, per
  * (step, token) in forEachStepToken order: first the step's per-op
  * kernel-detail spans (detailLane), then its instance spans in
- * microbatch-major, layer-inner order (or one layer-aggregated span
- * per microbatch). @p fn receives (lane name, span).
+ * microbatch-major, layer-inner order (a step without coordLayer
+ * emits one span per microbatch covering all its layers). @p fn
+ * receives (lane name, span).
  */
 template <typename Fn>
 void
@@ -136,8 +137,7 @@ forEachStepSpan(const EvaluatedPlan &ep, Fn &&fn)
         if (!st.detailLane.empty() && !ev.opEsts.empty()) {
             const std::vector<Op> &ops = st.parts[0].ops;
             for (size_t j = 0; j < ops.size(); ++j) {
-                TraceSpan s = kernelSpan(ep.dev, ops[j].name,
-                                         st.detailCategory,
+                TraceSpan s = kernelSpan(ep.dev, ops[j].name, "kernel",
                                          ev.opEsts[j]);
                 s.microbatch = 0;
                 s.layer = 0;
@@ -161,7 +161,7 @@ forEachStepSpan(const EvaluatedPlan &ep, Fn &&fn)
 
         const long long step = st.step + t;
         for (long long mb = 0; mb < st.repeatMicrobatch; ++mb) {
-            if (st.aggregateLayers) {
+            if (!st.coordLayer) {
                 TraceSpan s = instanceSpan(ep.dev, st, ev, cats[i], t);
                 const double rl = double(st.repeatLayer);
                 s.duration = tokenPerInstance(st, ev, t) * rl;
@@ -181,8 +181,7 @@ forEachStepSpan(const EvaluatedPlan &ep, Fn &&fn)
                 TraceSpan s = instanceSpan(ep.dev, st, ev, cats[i], t);
                 if (st.coordMicrobatch)
                     s.microbatch = mb;
-                if (st.coordLayer)
-                    s.layer = l;
+                s.layer = l;
                 s.step = step;
                 fn(st.lane, std::move(s));
             }
@@ -262,7 +261,7 @@ foldTraining(const EvaluatedPlan &ep, TraceSession *trace)
                 f.layerBackward = ev.partEsts[0];
         }
     }
-    if (tracing(trace))
+    if (trace != nullptr)
         emitTrace(ep, *trace);
     return f;
 }
@@ -302,7 +301,7 @@ foldInference(const EvaluatedPlan &ep, TraceSession *trace)
             r.time += total;
         }
     });
-    if (tracing(trace))
+    if (trace != nullptr)
         emitTrace(ep, *trace);
     return f;
 }

@@ -33,7 +33,6 @@ opStep(const Op &op, const char *lane, const char *phase)
     s.name = op.name;
     s.phase = phase;
     s.bucketByBound = true;
-    s.kernelDetail = true;
     s.parts.push_back({op.name, {op}, 1.0});
     return s;
 }
@@ -54,7 +53,6 @@ lowerDecodeTokens(const TransformerConfig &cfg, const System &sys,
                                        opts.precision, opts.kvPrecision)) {
         PlanStep s = opStep(op, "decode", "decode");
         s.repeatLayer = L;
-        s.aggregateLayers = true;
         steps.push_back(std::move(s));
     }
 
@@ -85,7 +83,6 @@ lowerDecodeTokens(const TransformerConfig &cfg, const System &sys,
         s.category = "decode-comm";
         s.phase = "decode";
         s.repeatLayer = L;
-        s.aggregateLayers = true;
         s.collective = CollectiveKind::AllReduce;
         s.volume = double(opts.batch) * double(cfg.hiddenSize) *
                    precisionBytes(opts.precision);
@@ -131,7 +128,6 @@ lowerInference(const TransformerConfig &cfg, const System &sys,
     kp.lanes = {"prefill", "prefill/comm", "decode", "decode/comm"};
     kp.counters = {{"infer/decode-tokens", double(opts.generateLength)},
                    {"infer/layers", double(L)}};
-    kp.layersPerStage = L;
 
     // ---- Prefill (summarization) ------------------------------------
     LayerGraphParams gp;
@@ -208,7 +204,6 @@ lowerInference(const TransformerConfig &cfg, const System &sys,
             s.category = "decode-comm";
             s.phase = "decode";
             s.repeatLayer = opts.generateLength;
-            s.aggregateLayers = true;
             s.collective = CollectiveKind::PointToPoint;
             s.volume = double(opts.batch) * cfg.hiddenSize *
                        precisionBytes(opts.precision);

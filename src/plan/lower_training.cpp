@@ -146,7 +146,6 @@ lowerTrainingMapping(const TransformerConfig &cfg, const System &sys,
     kp.counters = {{"train/microbatches", double(m)},
                    {"train/layers-per-stage", double(layers_local)}};
     kp.microbatches = m;
-    kp.layersPerStage = layers_local;
 
     // At most eight mapping steps follow: TP, CP, EP, PP, bubble, DP,
     // ZeRO-3 and optimizer.

@@ -94,7 +94,8 @@ struct PlanStep
     /**
      * Resolve the category from the evaluated bound instead:
      * phase + "-" + {gemm-compute | gemm-memory | other} (the
-     * inference PhaseReport buckets).
+     * inference PhaseReport buckets). These single-op steps' instance
+     * spans carry full kernel detail.
      */
     bool bucketByBound = false;
 
@@ -102,7 +103,12 @@ struct PlanStep
     long long repeatMicrobatch = 1;
     long long repeatLayer = 1;
     bool coordMicrobatch = false;  ///< stamp span.microbatch
-    bool coordLayer = false;       ///< stamp span.layer
+    /**
+     * Stamp span.layer: one span per layer. Without it, one span
+     * covers all repeatLayer instances (duration, FLOPs and traffic
+     * scaled by repeatLayer) — the decode-lane aggregation.
+     */
+    bool coordLayer = false;
     /** First decode token index (span.step); -1 outside decode. */
     long long step = -1;
     /**
@@ -115,22 +121,13 @@ struct PlanStep
      * (token, op) would produce.
      */
     long long repeatToken = 1;
-    /**
-     * Emit one span covering all repeatLayer instances (duration,
-     * FLOPs and traffic scaled by repeatLayer) instead of one span per
-     * layer — the decode-lane aggregation.
-     */
-    bool aggregateLayers = false;
 
-    // ---- Kernel detail ----------------------------------------------
-    /** Instance spans carry full kernel detail (single-op steps). */
-    bool kernelDetail = false;
     /**
-     * Additionally emit one per-op kernel-detail span per op of
-     * parts[0] on this lane (the trainer's "kernels/fwd" lanes).
+     * Additionally emit one per-op kernel-detail span (category
+     * "kernel") per op of parts[0] on this lane (the trainer's
+     * "kernels/fwd" lanes).
      */
     std::string detailLane;
-    std::string detailCategory = "kernel";
 
     // ---- Compute payload --------------------------------------------
     std::vector<ComputePart> parts;
@@ -168,7 +165,6 @@ struct KernelPlan
     std::vector<std::pair<std::string, double>> counters;
 
     long long microbatches = 1;
-    long long layersPerStage = 1;
     double bubbleFraction = 0.0;
 };
 

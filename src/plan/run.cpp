@@ -64,7 +64,7 @@ runTraining(const TransformerConfig &cfg, const System &sys,
             const TrainingOptions &opts, EvaluateOptions eval)
 {
     KernelPlan kp = lowerTraining(cfg, sys, par, global_batch, opts);
-    eval.detail = eval.detail || tracing(opts.trace);
+    eval.detail = eval.detail || opts.trace != nullptr;
 
     TrainingRun run;
     run.plan = evaluatePlan(std::move(kp), sys, eval);
@@ -75,7 +75,7 @@ runTraining(const TransformerConfig &cfg, const System &sys,
                                 opts.recompute, opts.memory),
         modelFlopsPerBatch(cfg, global_batch, opts.seqLength,
                            opts.precision));
-    if (tracing(opts.trace)) {
+    if (opts.trace != nullptr) {
         opts.trace->counterSet("train/time-per-batch-s",
                                run.report.timePerBatch);
         opts.trace->counterSet("train/mfu", run.report.mfu);
@@ -88,7 +88,7 @@ runInference(const TransformerConfig &cfg, const System &sys,
              const InferenceOptions &opts, EvaluateOptions eval)
 {
     KernelPlan kp = lowerInference(cfg, sys, opts);
-    eval.detail = eval.detail || tracing(opts.trace);
+    eval.detail = eval.detail || opts.trace != nullptr;
 
     InferenceRun run;
     run.plan = evaluatePlan(std::move(kp), sys, eval);

@@ -37,7 +37,7 @@ planTraining(const TransformerConfig &model, const System &sys,
                 "planner needs at least one microbatch size");
 
     TraceSession *tr = opts.trace;
-    const bool tron = tracing(tr);
+    const bool tron = tr != nullptr;
 
     // Phase 1 (serial, cheap): enumerate the full candidate space,
     // pruning by lint and memory. The loop-invariant option fields
@@ -239,7 +239,7 @@ planServing(const TransformerConfig &model, const System &sys,
 
     std::vector<ServingPlan> plans;
     TraceSession *tr = opts.trace;
-    const bool tron = tracing(tr);
+    const bool tron = tr != nullptr;
     for (long long tp : opts.tensorParallelChoices) {
         if (tp > sys.totalDevices() || model.numHeads % tp != 0 ||
             model.ffnHidden % tp != 0) {

@@ -367,6 +367,10 @@ recordPlanner(const TransformerConfig &model, const System &sys,
     knobs.set("keep", JsonValue::number(double(opts.keep)));
     knobs.set("flashAttention",
               JsonValue::boolean(opts.flashAttention));
+    JsonValue zero = JsonValue::array();
+    for (int stage : opts.zeroStages)
+        zero.push(JsonValue::number(double(stage)));
+    knobs.set("zeroStages", std::move(zero));
     config.set("planner", std::move(knobs));
     RunRecord rec = beginRecord("planner", label, std::move(config));
     rec.threads = resolveThreads(opts.threads);

@@ -25,6 +25,12 @@ constexpr long long kQuantK = 32;
 /** Effective register-level reuse distance per operand. */
 constexpr long long kRegisterTile = 128;
 
+/**
+ * A GEMM with min(m, n) below this is skinny: its DRAM traffic runs
+ * at the GEMV utilization.
+ */
+constexpr long long kSkinnyThreshold = 32;
+
 long long
 roundUp(long long v, long long q)
 {
@@ -259,18 +265,16 @@ estimateGemm(const Device &dev, const GemmShape &shape,
     // A100 compute at the fp16 tensor-core rate); only formats wider
     // than every supported one fall back to the vector units.
     double matrix_rate = 0.0;
-    if (opts.matrixEngine) {
-        if (dev.supportsMatrix(shape.precision)) {
-            matrix_rate = dev.matrixFlops(shape.precision);
-        } else {
-            double want = precisionBytes(shape.precision);
-            double best_bytes = 1e9;
-            for (const auto &[p, f] : dev.matrixThroughput) {
-                double b = precisionBytes(p);
-                if (b >= want && b < best_bytes) {
-                    best_bytes = b;
-                    matrix_rate = f;
-                }
+    if (dev.supportsMatrix(shape.precision)) {
+        matrix_rate = dev.matrixFlops(shape.precision);
+    } else {
+        double want = precisionBytes(shape.precision);
+        double best_bytes = 1e9;
+        for (const auto &[p, f] : dev.matrixThroughput) {
+            double b = precisionBytes(p);
+            if (b >= want && b < best_bytes) {
+                best_bytes = b;
+                matrix_rate = f;
             }
         }
     }
@@ -285,8 +289,7 @@ estimateGemm(const Device &dev, const GemmShape &shape,
     peak *= shapeEfficiency(shape);
     est.computeTime = est.flops / peak;
 
-    const bool skinny =
-        std::min(shape.m, shape.n) < opts.skinnyThreshold;
+    const bool skinny = std::min(shape.m, shape.n) < kSkinnyThreshold;
 
     const size_t levels = dev.mem.size();
     est.bytesPerLevel.assign(levels, 0.0);

@@ -29,23 +29,14 @@ struct GemmShape
     Precision precision = Precision::FP16;
 };
 
-/** Tuning switches for the GEMM estimator. */
+/** Per-call options of estimateGemm. */
 struct GemmOptions
 {
-    /** Use the matrix engine (tensor cores) vs the vector units. */
-    bool matrixEngine = true;
-
     /**
      * Count kernel launch overhead. Callers fusing several logical
      * GEMMs into one launch disable this on all but the first.
      */
     bool launchOverhead = true;
-
-    /**
-     * Threshold on min(m, n) below which the GEMM is treated as
-     * skinny and the GEMV DRAM-utilization factor applies.
-     */
-    long long skinnyThreshold = 32;
 };
 
 /** Chosen tile for one cache level (elements, not bytes). */

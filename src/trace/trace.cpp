@@ -7,7 +7,6 @@ namespace optimus {
 TraceSession::TraceSession(TraceSession &&other) noexcept
 {
     std::lock_guard<std::mutex> lock(other.mu_);
-    enabled_ = other.enabled_;
     lanes_ = std::move(other.lanes_);
     spans_ = std::move(other.spans_);
     samples_ = std::move(other.samples_);
@@ -20,7 +19,6 @@ TraceSession::operator=(TraceSession &&other) noexcept
 {
     if (this != &other) {
         std::scoped_lock lock(mu_, other.mu_);
-        enabled_ = other.enabled_;
         lanes_ = std::move(other.lanes_);
         spans_ = std::move(other.spans_);
         samples_ = std::move(other.samples_);
@@ -45,8 +43,6 @@ TraceSession::laneLocked(const std::string &name)
 int
 TraceSession::lane(const std::string &name)
 {
-    if (!enabled_)
-        return 0;
     std::lock_guard<std::mutex> lock(mu_);
     return laneLocked(name);
 }
@@ -54,8 +50,6 @@ TraceSession::lane(const std::string &name)
 double
 TraceSession::emit(int lane_id, TraceSpan span)
 {
-    if (!enabled_)
-        return 0.0;
     std::lock_guard<std::mutex> lock(mu_);
     if (lanes_.empty())
         laneLocked("default");
@@ -83,8 +77,6 @@ TraceSession::emit(int lane_id, const std::string &name,
 void
 TraceSession::counterAdd(const std::string &name, double delta)
 {
-    if (!enabled_)
-        return;
     std::lock_guard<std::mutex> lock(mu_);
     double v = counters_[name] + delta;
     counters_[name] = v;
@@ -94,8 +86,6 @@ TraceSession::counterAdd(const std::string &name, double delta)
 void
 TraceSession::counterSet(const std::string &name, double value)
 {
-    if (!enabled_)
-        return;
     std::lock_guard<std::mutex> lock(mu_);
     counters_[name] = value;
     samples_.push_back(CounterSample{name, value});

@@ -79,11 +79,9 @@ struct CounterSample
 };
 
 /**
- * Recording sink for spans and counters.
- *
- * Construct with enabled=false for an explicit null sink that records
- * nothing (evaluators also accept a nullptr session, which costs one
- * branch per instrumented section).
+ * Recording sink for spans and counters. There is no disabled
+ * session: evaluators take a nullable TraceSession *, and nullptr is
+ * the null sink (one branch per instrumented section).
  *
  * Thread safety: every mutating operation (lane, emit, counterAdd,
  * counterSet, reset) and every scalar read (counter, categoryTotals,
@@ -99,14 +97,11 @@ class TraceSession
 {
   public:
     TraceSession() = default;
-    explicit TraceSession(bool enabled) : enabled_(enabled) {}
 
     // Movable (the source must be quiescent); not copyable, since
     // concurrent recorders hold pointers to a live session.
     TraceSession(TraceSession &&other) noexcept;
     TraceSession &operator=(TraceSession &&other) noexcept;
-
-    bool enabled() const { return enabled_; }
 
     /** Get-or-create the lane named @p name; returns its index. */
     int lane(const std::string &name);
@@ -114,7 +109,7 @@ class TraceSession
     /**
      * Append @p span (its duration already set) at the cursor of lane
      * @p lane_id and advance the cursor. Returns the span's start
-     * time (0 when disabled).
+     * time.
      */
     double emit(int lane_id, TraceSpan span);
 
@@ -161,7 +156,6 @@ class TraceSession
     /** lane() body; caller must hold mu_. */
     int laneLocked(const std::string &name);
 
-    bool enabled_ = true;
     mutable std::mutex mu_;
     std::vector<TraceLane> lanes_;
     std::vector<TraceSpan> spans_;
@@ -169,13 +163,6 @@ class TraceSession
     std::map<std::string, double> counters_;
     std::map<std::string, int> laneIndex_;
 };
-
-/** True when @p t is a live (non-null, enabled) session. */
-inline bool
-tracing(const TraceSession *t)
-{
-    return t != nullptr && t->enabled();
-}
 
 /**
  * Build a span carrying the full kernel detail of @p est: duration,

@@ -79,6 +79,12 @@ TEST(RunRecord, PlannerAndDseRecordsCopyCounters)
     EXPECT_GT(plan.metric("plans/found"), 0.0);
     EXPECT_GT(plan.metric("best/time-per-batch"), 0.0);
     EXPECT_TRUE(plan.kernels.empty());
+    // The ZeRO stages searched are part of the fingerprint.
+    TrainingPlannerOptions zero = popts;
+    zero.zeroStages = {0, 1};
+    EXPECT_NE(report::recordPlanner(models::gpt7b(), sys, 16, zero)
+                  .fingerprint,
+              plan.fingerprint);
     TraceSession planner_session;
     popts.trace = &planner_session;
     planTraining(models::gpt7b(), sys, 16, popts);

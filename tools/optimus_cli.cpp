@@ -12,8 +12,11 @@
  * Inputs come from flags (preset names + mapping knobs) or from a
  * JSON config file (the first positional operand, or --config FILE)
  * whose members are the objects accepted by config/serialize.h; a
- * member present in the file overrides the matching flags. Add
- * --json to emit the report as JSON instead of text.
+ * member present in the file overrides the matching flags. Every
+ * command that evaluates one training or inference run resolves it
+ * through resolveRun; serve (flags override its config), memory (no
+ * system) and dse (its own defaults) do not. Add --json to emit the
+ * report as JSON instead of text.
  *
  * Examples:
  *   optimus_cli train --model gpt-175b --system dgx-a100 --nodes 8 \
@@ -23,7 +26,6 @@
  */
 
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -95,23 +97,6 @@ resolveParallel(const Args &args, const JsonValue &cfg)
     return par;
 }
 
-/**
- * resolveParallel for an evaluation on @p sys: when the user gave only
- * TP/PP, the data-parallel degree fills the system.
- */
-ParallelConfig
-resolveTrainingParallel(const Args &args, const JsonValue &cfg,
-                        const System &sys)
-{
-    ParallelConfig par = resolveParallel(args, cfg);
-    if (!args.has("dp") && !(cfg.isObject() && cfg.has("parallel"))) {
-        long long rest = par.tensorParallel * par.pipelineParallel;
-        if (sys.totalDevices() % rest == 0)
-            par.dataParallel = sys.totalDevices() / rest;
-    }
-    return par;
-}
-
 Recompute
 resolveRecompute(const Args &args)
 {
@@ -156,33 +141,122 @@ resolveInferenceOptions(const Args &args, const JsonValue &cfg)
     return opts;
 }
 
+/**
+ * True for an inference run: --mode (train|infer) decides when given,
+ * else a config with an inference section selects inference.
+ */
+bool
+inferenceRun(const Args &args, const JsonValue &cfg)
+{
+    if (!args.has("mode"))
+        return cfg.isObject() && cfg.has("inference");
+    const std::string mode = args.get("mode");
+    if (mode != "train" && mode != "infer")
+        throw ConfigError("unknown --mode value: " + mode);
+    return mode == "infer";
+}
+
+/**
+ * A resolved training or inference run. Only the options of its mode
+ * are filled: par, batch and training, or inference.
+ */
+struct Run
+{
+    TransformerConfig model;
+    System sys;
+    bool infer = false;
+    ParallelConfig par;
+    long long batch = 0;
+    TrainingOptions training;
+    InferenceOptions inference;
+};
+
+/** The one resolution of a run from the config and the flags. */
+Run
+resolveRun(const Args &args, const JsonValue &cfg, bool infer)
+{
+    Run run;
+    run.model = resolveModel(args, cfg);
+    run.sys = resolveSystem(args, cfg);
+    run.infer = infer;
+    if (infer) {
+        run.inference = resolveInferenceOptions(args, cfg);
+    } else {
+        run.par = resolveParallel(args, cfg);
+        // Given only TP/PP, the data-parallel degree fills the system.
+        const long long rest =
+            run.par.tensorParallel * run.par.pipelineParallel;
+        if (!args.has("dp") && !(cfg.isObject() && cfg.has("parallel")) &&
+            rest > 0 && run.sys.totalDevices() % rest == 0)
+            run.par.dataParallel = run.sys.totalDevices() / rest;
+        run.batch = args.getInt("batch", 64);
+        run.training = resolveTrainingOptions(args, cfg);
+    }
+    return run;
+}
+
+/** The run of a command that reads its mode from --mode or the config. */
+Run
+resolveRun(const Args &args)
+{
+    const JsonValue cfg = loadConfig(args);
+    return resolveRun(args, cfg, inferenceRun(args, cfg));
+}
+
+/** What a run's headline number measures. */
+const char *
+objectiveName(const Run &run)
+{
+    return run.infer ? "inference latency" : "training time per batch";
+}
+
+lint::LintReport
+lintRun(const Run &run)
+{
+    return run.infer ? lint::lintInference(run.model, run.sys,
+                                           run.inference)
+                     : lint::lintTraining(run.model, run.sys, run.par,
+                                          run.batch, run.training);
+}
+
+/** The `plan` flags, shared by `plan` and `record --mode plan`. */
+TrainingPlannerOptions
+resolvePlannerOptions(const Args &args)
+{
+    TrainingPlannerOptions opts;
+    opts.seqLength = args.getInt("seq", 2048);
+    opts.precision = parsePrecision(args.get("precision", "fp16"));
+    opts.flashAttention = args.has("flash-attention");
+    opts.keep = static_cast<size_t>(args.getInt("top", 8));
+    opts.threads = static_cast<int>(args.getInt("threads", 0));
+    if (args.has("zero"))
+        opts.zeroStages = {0,
+                           static_cast<int>(args.getInt("zero", 1))};
+    return opts;
+}
+
 int
 cmdTrain(const Args &args)
 {
-    JsonValue cfg = loadConfig(args);
-    TransformerConfig model = resolveModel(args, cfg);
-    System sys = resolveSystem(args, cfg);
-    ParallelConfig par = resolveTrainingParallel(args, cfg, sys);
-    long long batch = args.getInt("batch", 64);
-
-    TrainingOptions opts = resolveTrainingOptions(args, cfg);
-
-    TrainingReport rep = evaluateTraining(model, sys, par, batch,
-                                          opts);
+    const Run run = resolveRun(args, loadConfig(args), false);
+    TrainingReport rep = evaluateTraining(run.model, run.sys, run.par,
+                                          run.batch, run.training);
 
     if (args.has("json")) {
         std::cout << config::toJson(rep).dump(2) << "\n";
         return 0;
     }
 
-    std::cout << model.name << " on " << sys.totalDevices() << "x "
-              << sys.device.name << " (" << par.label()
-              << ", batch " << batch << ", "
-              << recomputeName(opts.recompute) << " recompute)\n\n"
+    std::cout << run.model.name << " on " << run.sys.totalDevices()
+              << "x " << run.sys.device.name << " (" << run.par.label()
+              << ", batch " << run.batch << ", "
+              << recomputeName(run.training.recompute)
+              << " recompute)\n\n"
               << "  time/batch : " << formatTime(rep.timePerBatch)
               << "\n"
               << "  throughput : "
-              << double(batch) * opts.seqLength / rep.timePerBatch
+              << double(run.batch) * run.training.seqLength /
+                     rep.timePerBatch
               << " tokens/s\n"
               << "  MFU        : " << rep.mfu * 100.0 << " %\n"
               << "  compute    : " << formatTime(rep.time.compute())
@@ -192,7 +266,7 @@ cmdTrain(const Args &args)
               << "  other      : " << formatTime(rep.time.other())
               << "\n"
               << "  memory/GPU : " << formatBytes(rep.memory.total())
-              << (rep.memory.total() <= sys.device.dram().capacity
+              << (rep.memory.total() <= run.sys.device.dram().capacity
                       ? " (fits)"
                       : " (OVERFLOWS device memory)")
               << "\n";
@@ -202,31 +276,28 @@ cmdTrain(const Args &args)
 int
 cmdInfer(const Args &args)
 {
-    JsonValue cfg = loadConfig(args);
-    TransformerConfig model = resolveModel(args, cfg);
-    System sys = resolveSystem(args, cfg);
-
-    InferenceOptions opts = resolveInferenceOptions(args, cfg);
-
-    InferenceReport rep = evaluateInference(model, sys, opts);
+    const Run run = resolveRun(args, loadConfig(args), true);
+    InferenceReport rep =
+        evaluateInference(run.model, run.sys, run.inference);
 
     if (args.has("json")) {
         std::cout << config::toJson(rep).dump(2) << "\n";
         return 0;
     }
 
-    double tokens = double(opts.batch) * opts.generateLength;
-    std::cout << model.name << " on TP" << opts.tensorParallel << " "
-              << sys.device.name << " (batch " << opts.batch << ", "
-              << opts.promptLength << "+" << opts.generateLength
-              << " tokens)\n\n"
+    double tokens =
+        double(run.inference.batch) * run.inference.generateLength;
+    std::cout << run.model.name << " on TP" << run.inference.tensorParallel
+              << " " << run.sys.device.name << " (batch "
+              << run.inference.batch << ", " << run.inference.promptLength
+              << "+" << run.inference.generateLength << " tokens)\n\n"
               << "  total latency : " << formatTime(rep.totalLatency)
               << "\n"
               << "  prefill       : " << formatTime(rep.prefill.time)
               << "\n"
               << "  decode        : " << formatTime(rep.decode.time)
               << "  (" << rep.decode.time / tokens * 1e3 *
-                             double(opts.batch)
+                             double(run.inference.batch)
               << " ms/token)\n"
               << "  decode comm   : "
               << formatTime(rep.decode.commTime) << "\n"
@@ -309,37 +380,20 @@ cmdServe(const Args &args)
 int
 cmdSensitivity(const Args &args)
 {
-    JsonValue cfg = loadConfig(args);
-    TransformerConfig model = resolveModel(args, cfg);
-    System sys = resolveSystem(args, cfg);
-
-    std::function<double(const System &)> objective;
-    std::string label;
-    if (args.get("mode", "train") == "infer") {
-        InferenceOptions opts;
-        opts.tensorParallel = args.getInt("tp", 1);
-        opts.batch = args.getInt("batch", 1);
-        objective = [=](const System &s) {
-            return evaluateInference(model, s, opts).totalLatency;
-        };
-        label = "inference latency";
-    } else {
-        ParallelConfig par = resolveParallel(args, cfg);
-        long long batch = args.getInt("batch", 64);
-        TrainingOptions opts;
-        opts.recompute = resolveRecompute(args);
-        objective = [=](const System &s) {
-            return evaluateTraining(model, s, par, batch, opts)
-                .timePerBatch;
-        };
-        label = "training time per batch";
-    }
-
+    const Run run = resolveRun(args);
     std::vector<Sensitivity> rows = analyzeSensitivity(
-        sys, objective,
+        run.sys,
+        [&run](const System &s) {
+            return run.infer
+                       ? evaluateInference(run.model, s, run.inference)
+                             .totalLatency
+                       : evaluateTraining(run.model, s, run.par,
+                                          run.batch, run.training)
+                             .timePerBatch;
+        },
         static_cast<int>(args.getInt("threads", 0)));
-    std::cout << model.name << " on " << sys.device.name
-              << ": elasticity of " << label
+    std::cout << run.model.name << " on " << run.sys.device.name
+              << ": elasticity of " << objectiveName(run)
               << " per resource (-1 = fully bound)\n\n";
     sensitivityTable(rows).print(std::cout);
     return 0;
@@ -353,18 +407,8 @@ cmdPlan(const Args &args)
     System sys = resolveSystem(args, cfg);
     long long batch = args.getInt("batch", 64);
 
-    TrainingPlannerOptions opts;
-    opts.seqLength = args.getInt("seq", 2048);
-    opts.precision = parsePrecision(args.get("precision", "fp16"));
-    opts.flashAttention = args.has("flash-attention");
-    opts.keep = static_cast<size_t>(args.getInt("top", 8));
-    opts.threads = static_cast<int>(args.getInt("threads", 0));
-    if (args.has("zero"))
-        opts.zeroStages = {0,
-                           static_cast<int>(args.getInt("zero", 1))};
-
     std::vector<TrainingPlan> plans =
-        planTraining(model, sys, batch, opts);
+        planTraining(model, sys, batch, resolvePlannerOptions(args));
     if (plans.empty()) {
         std::cout << "no parallelization of " << model.name
                   << " fits " << sys.device.name
@@ -435,25 +479,9 @@ cmdLint(const Args &args)
     checkConfig(!path.empty(),
                 "lint needs a config file: optimus_cli lint "
                 "<config.json>");
-    JsonValue cfg = loadConfig(args);
-
     lint::LintReport report;
     try {
-        TransformerConfig model = resolveModel(args, cfg);
-        System sys = resolveSystem(args, cfg);
-        if (cfg.isObject() && cfg.has("inference")) {
-            InferenceOptions opts =
-                config::inferenceOptionsFromJson(cfg.at("inference"));
-            report = lint::lintInference(model, sys, opts);
-        } else {
-            ParallelConfig par = resolveParallel(args, cfg);
-            long long batch = args.getInt("batch", 64);
-            TrainingOptions opts;
-            if (cfg.isObject() && cfg.has("training"))
-                opts = config::trainingOptionsFromJson(
-                    cfg.at("training"));
-            report = lint::lintTraining(model, sys, par, batch, opts);
-        }
+        report = lintRun(resolveRun(args));
     } catch (const LintError &e) {
         // A deserializer rejected a component outright; its report is
         // still the aggregated list for that component.
@@ -477,44 +505,23 @@ cmdLint(const Args &args)
 int
 cmdTrace(const Args &args)
 {
-    JsonValue cfg = loadConfig(args);
-
-    TransformerConfig model = resolveModel(args, cfg);
-    System sys = resolveSystem(args, cfg);
-    bool infer = (cfg.isObject() && cfg.has("inference")) ||
-                 args.get("mode", "train") == "infer";
-
+    Run run = resolveRun(args);
     TraceSession session;
+    const lint::LintReport lrep = lintRun(run);
+    session.counterAdd("lint/diagnostics",
+                       double(lrep.diagnostics().size()));
+    session.counterAdd("lint/errors", double(lrep.errorCount()));
+    session.counterAdd("lint/warnings", double(lrep.warningCount()));
     double model_total = 0.0;
-    std::string what;
-    if (infer) {
-        InferenceOptions opts = resolveInferenceOptions(args, cfg);
-        lint::LintReport lrep = lint::lintInference(model, sys, opts);
-        session.counterAdd("lint/diagnostics",
-                           double(lrep.diagnostics().size()));
-        session.counterAdd("lint/errors", double(lrep.errorCount()));
-        session.counterAdd("lint/warnings",
-                           double(lrep.warningCount()));
-        opts.trace = &session;
-        InferenceReport rep = evaluateInference(model, sys, opts);
-        model_total = rep.totalLatency;
-        what = "inference latency";
+    if (run.infer) {
+        run.inference.trace = &session;
+        model_total = evaluateInference(run.model, run.sys, run.inference)
+                          .totalLatency;
     } else {
-        ParallelConfig par = resolveTrainingParallel(args, cfg, sys);
-        long long batch = args.getInt("batch", 64);
-        TrainingOptions opts = resolveTrainingOptions(args, cfg);
-        lint::LintReport lrep =
-            lint::lintTraining(model, sys, par, batch, opts);
-        session.counterAdd("lint/diagnostics",
-                           double(lrep.diagnostics().size()));
-        session.counterAdd("lint/errors", double(lrep.errorCount()));
-        session.counterAdd("lint/warnings",
-                           double(lrep.warningCount()));
-        opts.trace = &session;
-        TrainingReport rep =
-            evaluateTraining(model, sys, par, batch, opts);
-        model_total = rep.timePerBatch;
-        what = "training time per batch";
+        run.training.trace = &session;
+        model_total = evaluateTraining(run.model, run.sys, run.par,
+                                       run.batch, run.training)
+                          .timePerBatch;
     }
 
     // Surface the exec/tile-cache statistics as trace counters so
@@ -547,8 +554,9 @@ cmdTrace(const Args &args)
         checkConfig(f.good(), "cannot write trace file " + out);
         f << chromeTraceJson(session).dump() << "\n";
     }
-    std::cout << model.name << " on " << sys.device.name << ", "
-              << what << " " << formatTime(model_total) << "\n\n"
+    std::cout << run.model.name << " on " << run.sys.device.name << ", "
+              << objectiveName(run) << " " << formatTime(model_total)
+              << "\n\n"
               << summaryText(session) << "\n"
               << "trace span total " << trace_total
               << " s vs model total " << model_total << " s (delta "
@@ -569,31 +577,19 @@ cmdTrace(const Args &args)
 int
 cmdKernels(const Args &args)
 {
-    JsonValue cfg = loadConfig(args);
-
-    TransformerConfig model = resolveModel(args, cfg);
-    System sys = resolveSystem(args, cfg);
-    bool infer = (cfg.isObject() && cfg.has("inference")) ||
-                 args.get("mode", "train") == "infer";
-
+    const Run run = resolveRun(args);
     plan::EvaluatedPlan ep;
     double model_total = 0.0;
-    std::string what;
-    if (infer) {
-        InferenceOptions opts = resolveInferenceOptions(args, cfg);
-        plan::InferenceRun run = plan::runInference(model, sys, opts);
-        ep = std::move(run.plan);
-        model_total = run.report.totalLatency;
-        what = "inference latency";
+    if (run.infer) {
+        plan::InferenceRun r =
+            plan::runInference(run.model, run.sys, run.inference);
+        ep = std::move(r.plan);
+        model_total = r.report.totalLatency;
     } else {
-        ParallelConfig par = resolveTrainingParallel(args, cfg, sys);
-        long long batch = args.getInt("batch", 64);
-        TrainingOptions opts = resolveTrainingOptions(args, cfg);
-        plan::TrainingRun run =
-            plan::runTraining(model, sys, par, batch, opts);
-        ep = std::move(run.plan);
-        model_total = run.report.timePerBatch;
-        what = "training time per batch";
+        plan::TrainingRun r = plan::runTraining(
+            run.model, run.sys, run.par, run.batch, run.training);
+        ep = std::move(r.plan);
+        model_total = r.report.timePerBatch;
     }
 
     // --out redirects whichever representation was selected; the
@@ -631,8 +627,9 @@ cmdKernels(const Args &args)
         table.endRow();
         total += r.total;
     }
-    *os << model.name << " on " << sys.device.name << ", " << what
-        << " " << formatTime(model_total) << "\n\n";
+    *os << run.model.name << " on " << run.sys.device.name << ", "
+        << objectiveName(run) << " " << formatTime(model_total)
+        << "\n\n";
     table.print(*os);
     *os << "\n" << table.rowCount() << " plan steps, span total "
         << formatTime(total) << "\n";
@@ -796,40 +793,15 @@ cmdDse(const Args &args)
 int
 cmdRecord(const Args &args)
 {
-    JsonValue cfg = loadConfig(args);
-
-    std::string mode = args.get(
-        "mode", (cfg.isObject() && cfg.has("inference")) ? "infer"
-                                                         : "train");
+    const std::string mode = args.get("mode");
     report::RunRecord rec;
-    if (mode == "infer") {
-        TransformerConfig model = resolveModel(args, cfg);
-        System sys = resolveSystem(args, cfg);
-        InferenceOptions opts = resolveInferenceOptions(args, cfg);
-        rec = report::recordInference(
-            model, sys, opts,
-            args.get("label", model.name + " inference"));
-    } else if (mode == "train") {
-        TransformerConfig model = resolveModel(args, cfg);
-        System sys = resolveSystem(args, cfg);
-        ParallelConfig par = resolveTrainingParallel(args, cfg, sys);
-        long long batch = args.getInt("batch", 64);
-        TrainingOptions opts = resolveTrainingOptions(args, cfg);
-        rec = report::recordTraining(
-            model, sys, par, batch, opts,
-            args.get("label", model.name + " training"));
-    } else if (mode == "plan") {
+    if (mode == "plan") {
+        JsonValue cfg = loadConfig(args);
         TransformerConfig model = resolveModel(args, cfg);
         System sys = resolveSystem(args, cfg);
         long long batch = args.getInt("batch", 64);
-        TrainingPlannerOptions opts;
-        opts.seqLength = args.getInt("seq", 2048);
-        opts.precision =
-            parsePrecision(args.get("precision", "fp16"));
-        opts.keep = static_cast<size_t>(args.getInt("top", 8));
-        opts.threads = static_cast<int>(args.getInt("threads", 0));
         rec = report::recordPlanner(
-            model, sys, batch, opts,
+            model, sys, batch, resolvePlannerOptions(args),
             args.get("label", model.name + " planner"));
     } else if (mode == "dse") {
         // record's --mode picks dse itself, so the objective takes
@@ -839,7 +811,15 @@ cmdRecord(const Args &args)
                                 setup.dopts, setup.objectiveConfig,
                                 args.get("label", setup.label));
     } else {
-        throw ConfigError("unknown --mode value: " + mode);
+        const Run run = resolveRun(args);
+        rec = run.infer
+                  ? report::recordInference(
+                        run.model, run.sys, run.inference,
+                        args.get("label", run.model.name + " inference"))
+                  : report::recordTraining(
+                        run.model, run.sys, run.par, run.batch,
+                        run.training,
+                        args.get("label", run.model.name + " training"));
     }
 
     std::string out = args.get("out", "run.json");
@@ -919,19 +899,23 @@ usage()
         "           [--generate G] [--max-batch N]\n"
         "  plan     --model M --system S --nodes N --batch B "
         "[--top K]\n"
-        "           [--threads N]\n"
-        "  sensitivity --model M --system S [--mode train|infer]\n"
-        "              [--threads N]\n"
-        "              bottleneck attribution per hardware resource\n"
+        "           [--seq L] [--precision P] [--zero 0-3]\n"
+        "           [--flash-attention] [--threads N]\n"
+        "  sensitivity <config.json> [--mode train|infer] "
+        "[--threads N]\n"
+        "           plus the train or infer flags; bottleneck\n"
+        "           attribution per hardware resource\n"
         "  memory   --model M --dp D --tp T --pp P [--sp] "
         "[--batch B]\n"
-        "  lint     <config.json> [--batch B] - static-check a config\n"
-        "           without evaluating it (exit 1 on errors)\n"
-        "  trace    <config.json> [--out trace.json] [--csv FILE]\n"
-        "           [--threads N]\n"
+        "  lint     <config.json> [--mode train|infer] plus the train or\n"
+        "           infer flags - static-check a config without\n"
+        "           evaluating it (exit 1 on errors)\n"
+        "  trace    <config.json> [--mode train|infer] [--out trace.json]\n"
+        "           [--csv FILE] [--threads N]\n"
         "           record a Perfetto-loadable timeline of the "
         "modeled run\n"
-        "  kernels  <config.json> [--json|--csv] [--out FILE]\n"
+        "  kernels  <config.json> [--mode train|infer] [--json|--csv]\n"
+        "           [--out FILE]\n"
         "           dump the lowered kernel plan (one row per plan\n"
         "           step: identity, repeat count, time, bound/scope)\n"
         "  dse      [--mode train|infer] [--node N3|N5] [--dram D]\n"
@@ -941,8 +925,8 @@ usage()
         "  record   <config.json> [--mode train|infer|plan|dse]\n"
         "           [--out run.json] [--label NAME]\n"
         "           write a schema-versioned RunRecord ledger entry;\n"
-        "           --mode dse takes the dse flags and records the\n"
-        "           training objective\n"
+        "           --mode plan takes the plan flags, --mode dse the\n"
+        "           dse flags and records the training objective\n"
         "  diff     <a.json> <b.json> [--check] [--tol-pct N] "
         "[--json]\n"
         "           compare two RunRecords; --check exits 1 on drift\n"
@@ -952,7 +936,10 @@ usage()
         "\n"
         "common flags: <config.json> or --config FILE (JSON, read by\n"
         "  every command but dse/diff/version/presets; its members\n"
-        "  override the flags above), --json (JSON output),\n"
+        "  override the flags above, except for serve),\n"
+        "  --mode train|infer (train/infer/trace/kernels/record/lint/\n"
+        "  sensitivity; without it a config with an inference section\n"
+        "  runs inference), --json (JSON output),\n"
         "  --threads N (sweep worker threads; 0 = OPTIMUS_THREADS\n"
         "  env, default 1; results are identical at any count)\n";
     return 2;
