@@ -99,6 +99,38 @@ BM_TrainingEvaluationTraced(benchmark::State &state)
 }
 BENCHMARK(BM_TrainingEvaluationTraced);
 
+/** The serialize stage: the traced eval above as Chrome JSON text. */
+void
+BM_ChromeTraceExport(benchmark::State &state)
+{
+    ParallelConfig par;
+    par.tensorParallel = 8;
+    par.pipelineParallel = 8;
+    TraceSession session;
+    TrainingOptions opts;
+    opts.trace = &session;
+    evaluateTraining(models::gpt175b(), presets::dgxA100(8), par, 64,
+                     opts);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(chromeTraceJson(session).dump());
+    state.counters["spans"] = double(session.spans().size());
+}
+BENCHMARK(BM_ChromeTraceExport)->Unit(benchmark::kMillisecond);
+
+/** The same run as a RunRecord, serialized to JSON text. */
+void
+BM_RunRecordJson(benchmark::State &state)
+{
+    ParallelConfig par;
+    par.tensorParallel = 8;
+    par.pipelineParallel = 8;
+    const report::RunRecord rec = report::recordTraining(
+        models::gpt175b(), presets::dgxA100(8), par, 64, {});
+    for (auto _ : state)
+        benchmark::DoNotOptimize(report::toJson(rec).dump());
+}
+BENCHMARK(BM_RunRecordJson);
+
 void
 BM_DseSearch(benchmark::State &state)
 {

@@ -16,7 +16,7 @@
 #include "plan/plan.h"
 
 #include "hw/precision.h"
-#include "util/error.h"
+#include "lint/lint.h"
 
 namespace optimus {
 namespace plan {
@@ -109,16 +109,9 @@ lowerInference(const TransformerConfig &cfg, const System &sys,
 {
     cfg.validate();
     sys.validate();
-    checkPositive(opts.batch, "batch");
-    checkPositive(opts.promptLength, "promptLength");
-    checkPositive(opts.generateLength, "generateLength");
-    checkPositive(opts.tensorParallel, "tensorParallel");
-    checkPositive(opts.pipelineParallel, "pipelineParallel");
-    checkConfig(opts.tensorParallel * opts.pipelineParallel <=
-                    sys.totalDevices(),
-                "TP x PP exceeds system size");
-    checkConfig(cfg.numLayers % opts.pipelineParallel == 0,
-                "layers must divide by the PP degree");
+    // Linted like a training mapping (ParallelConfig::validate), so a
+    // rejected input carries its OPT-* rule id.
+    lint::enforce(lint::lintInferenceMapping(cfg, sys, opts));
 
     const long long L = cfg.numLayers;
     const long long tp = opts.tensorParallel;

@@ -1,8 +1,8 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "util/error.h"
@@ -391,43 +391,74 @@ void
 escapeInto(std::string &out, const std::string &s)
 {
     out.push_back('"');
-    for (char c : s) {
+    // Plain characters go out in runs, one append per run.
+    size_t run = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        const char *esc = nullptr;
         switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
+          case '"': esc = "\\\""; break;
+          case '\\': esc = "\\\\"; break;
+          case '\n': esc = "\\n"; break;
+          case '\r': esc = "\\r"; break;
+          case '\t': esc = "\\t"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
+            if (static_cast<unsigned char>(c) >= 0x20)
+                continue;
+        }
+        out.append(s, run, i - run);
+        run = i + 1;
+        if (esc != nullptr) {
+            out += esc;
+        } else {
+            static constexpr char kHex[] = "0123456789abcdef";
+            const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                 kHex[c & 0xF]};
+            out.append(code, sizeof(code));
         }
     }
+    out.append(s, run, s.size() - run);
     out.push_back('"');
 }
 
 void
 numberInto(std::string &out, double v)
 {
-    if (v == static_cast<long long>(v) && std::fabs(v) < 1e15) {
-        out += std::to_string(static_cast<long long>(v));
+    char buf[40];
+    // The range test comes first: the cast is undefined for
+    // |v| >= 2^63, infinities and NaN.
+    if (std::fabs(v) < 1e15 && v == static_cast<long long>(v)) {
+        const auto r = std::to_chars(buf, buf + sizeof(buf),
+                                     static_cast<long long>(v));
+        out.append(buf, r.ptr);
         return;
     }
-    // Shortest representation that parses back to the same double:
-    // ledger round trips (RunRecord serialize -> parse) must be
-    // lossless, but "0.1" should not print as "0.1000000000000000056".
-    char buf[40];
+    // The shortest "%.*g" of 12, 15, 16 or 17 digits that parses back
+    // to the same double: ledger round trips (RunRecord serialize ->
+    // parse) must be lossless, but "0.1" should not print as
+    // "0.1000000000000000056". A precision below the d significant
+    // digits of the shortest round-trip form cannot round-trip, so the
+    // search starts at the first precision >= d; the parse-back check
+    // still guards every candidate. to_chars(general, P) is defined as
+    // printf's "%.Pg", so the bytes match the printf/strtod loop, and
+    // infinities and NaN print as printf spells them.
+    const auto shortest = std::to_chars(buf, buf + sizeof(buf), v,
+                                        std::chars_format::scientific);
+    int digits = 0;
+    for (const char *p = buf; p != shortest.ptr && *p != 'e'; ++p)
+        digits += (*p >= '0' && *p <= '9') ? 1 : 0;
     for (int prec : {12, 15, 16, 17}) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
+        if (prec < digits)
+            continue;
+        const auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                                     std::chars_format::general, prec);
+        double back = 0.0;
+        std::from_chars(buf, r.ptr, back);
+        if (back == v || prec == 17) {
+            out.append(buf, r.ptr);
+            return;
+        }
     }
-    out += buf;
 }
 
 } // namespace

@@ -5,6 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+
 #include "util/error.h"
 #include "util/json.h"
 
@@ -114,6 +124,91 @@ TEST(Json, EscapesOnOutput)
 {
     JsonValue j = JsonValue::string("a\"b\\c\nd");
     EXPECT_EQ(j.dump(), R"("a\"b\\c\nd")");
+}
+
+TEST(Json, EscapesBetweenLongPlainRuns)
+{
+    const std::string plain(40, 'x');
+    const std::string raw = plain + "\"" + plain + "\\" + "\n" + plain +
+                            "\x01" + "\r\t" + plain + "\x1f";
+    EXPECT_EQ(JsonValue::string(raw).dump(),
+              "\"" + plain + "\\\"" + plain + "\\\\" + "\\n" + plain +
+                  "\\u0001" + "\\r\\t" + plain + "\\u001f\"");
+    EXPECT_EQ(JsonValue::string("").dump(), "\"\"");
+    EXPECT_EQ(JsonValue::string("\x01").dump(), "\"\\u0001\"");
+}
+
+/**
+ * The number writer's former algorithm: integers below 1e15 exactly,
+ * else the first "%.*g" of 12, 15, 16 or 17 digits that strtod parses
+ * back to the same double. The writer must keep its bytes. The range
+ * test runs before the cast here (the cast is undefined beyond the
+ * long long range); that order prints the same text.
+ */
+std::string
+referenceNumber(double v)
+{
+    if (std::fabs(v) < 1e15 && v == static_cast<long long>(v))
+        return std::to_string(static_cast<long long>(v));
+    char buf[40];
+    for (int prec : {12, 15, 16, 17}) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
+}
+
+TEST(Json, NumbersMatchThePrintfLoop)
+{
+    std::mt19937_64 rng(20240917);
+    std::uniform_real_distribution<double> uniform(0.0, 1.0);
+    int checked = 0;
+    for (int i = 0; i < 50000; ++i) {
+        const std::uint64_t bits = rng();
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof(v));
+        if (!std::isfinite(v))
+            v = std::ldexp(double(bits >> 11), -30);
+        const double u = uniform(rng) * 1e4;
+        for (double x : {v, u}) {
+            ASSERT_EQ(JsonValue::number(x).dump(), referenceNumber(x))
+                << std::hexfloat << x;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 100000);
+}
+
+TEST(Json, NumberSpellings)
+{
+    const double below_cutoff = std::nextafter(1e15, 0.0);
+    const struct { double value; const char *text; } cases[] = {
+        {0.1, "0.1"},
+        {1e-6, "1e-06"},
+        {1e21, "1e+21"},
+        {-2.5, "-2.5"},
+        {123456789012345.6, "123456789012345.6"},
+        // The integer cutoff: below 1e15 an integer prints exactly,
+        // from 1e15 on it takes the "%g" path.
+        {999999999999999.0, "999999999999999"},
+        {below_cutoff, "999999999999999.9"},
+        {1e15, "1e+15"},
+        {1e15 + 2.0, "1000000000000002"},
+        {-0.0, "0"},
+        {std::numeric_limits<double>::denorm_min(), "4.94065645841e-324"},
+        {DBL_MAX, "1.7976931348623157e+308"},
+        {0.1 + 0.2, "0.30000000000000004"},
+        {1.0 / 3.0, "0.3333333333333333"},
+        {std::numeric_limits<double>::infinity(), "inf"},
+        {-std::numeric_limits<double>::infinity(), "-inf"},
+        {std::numeric_limits<double>::quiet_NaN(), "nan"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(JsonValue::number(c.value).dump(), c.text)
+            << std::hexfloat << c.value;
+        EXPECT_EQ(referenceNumber(c.value), c.text);
+    }
 }
 
 } // namespace

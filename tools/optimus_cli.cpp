@@ -705,12 +705,19 @@ resolveDseSetup(const Args &args, const std::string &mode)
         ParallelConfig par;
         par.tensorParallel = args.getInt("tp", 4);
         par.pipelineParallel = args.getInt("pp", 4);
-        long long rest = par.tensorParallel * par.pipelineParallel;
-        par.dataParallel =
-            args.getInt("dp", static_cast<long long>(gpus) * nodes /
-                                  rest);
+        const long long rest =
+            par.tensorParallel * par.pipelineParallel;
+        par.dataParallel = args.getInt(
+            "dp", rest > 0 ? static_cast<long long>(gpus) * nodes / rest
+                           : 1);
         par.sequenceParallel = par.tensorParallel > 1;
         long long batch = args.getInt("batch", 512);
+        // The mapping lint reads only the node shape, not the probed
+        // device, so a bad mapping is reported before any probe runs.
+        System shape;
+        shape.devicesPerNode = gpus;
+        shape.numNodes = nodes;
+        lint::enforce(lint::lintMapping(model, shape, par, batch));
         TrainingOptions topts;
         topts.recompute = Recompute::Selective;
         topts.seqLength = args.getInt("seq", 2048);
