@@ -52,7 +52,7 @@ main()
                 .cell(pt.timeToFirstToken * 1e3, 1)
                 .cell(pt.kvCacheBytesPerDevice / GiB, 1)
                 .cell(pt.fits ? "yes" : "NO")
-                .cell(costPerMillionTokens(sys, opts, pt, cost), 2);
+                .cell(costPerMillionTokens(opts, pt, cost), 2);
             out.endRow();
         }
         std::cout << sys.device.name << ":\n";
@@ -61,7 +61,7 @@ main()
         ServingPoint best = maxThroughputPoint(model, sys, opts);
         std::cout << "best fitting batch " << best.batch << " -> "
                   << best.tokensPerSecond << " tok/s, "
-                  << costPerMillionTokens(sys, opts, best, cost)
+                  << costPerMillionTokens(opts, best, cost)
                   << " $/Mtok\n\n";
     }
 

@@ -19,12 +19,14 @@ main()
     par.pipelineParallel = 8;
     par.sequenceParallel = true;
 
-    Scenario training(models::gpt175b(), presets::dgxA100(8), par,
-                      /*global_batch=*/64);
-
     TrainingOptions topts;
     topts.recompute = Recompute::Selective;
-    TrainingReport t = training.train(topts);
+
+    // Lint gates the call: an illegal mapping throws LintError with
+    // every OPT-* diagnostic before anything is priced.
+    TrainingReport t = evaluateTraining(models::gpt175b(),
+                                        presets::dgxA100(8), par,
+                                        /*global_batch=*/64, topts);
 
     std::cout << "GPT-175B on 64xA100, batch 64:\n"
               << "  time/batch: " << formatTime(t.timePerBatch) << "\n"
@@ -42,9 +44,8 @@ main()
     iopts.promptLength = 200;
     iopts.generateLength = 200;
 
-    Scenario inference(models::llama2_13b(), presets::dgxA100(1),
-                       iopts);
-    InferenceReport i = inference.infer();
+    InferenceReport i =
+        evaluateInference(models::llama2_13b(), presets::dgxA100(1), iopts);
 
     std::cout << "Llama2-13B on 1xA100, 200+200 tokens:\n"
               << "  prefill:  " << formatTime(i.prefill.time) << "\n"

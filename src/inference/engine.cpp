@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "lint/lint.h"
 #include "plan/plan.h"
+#include "util/error.h"
 #include "workload/graph.h"
 
 namespace optimus {
@@ -52,12 +54,29 @@ gemmTable(const Device &dev, const std::vector<Op> &ops,
     return rows;
 }
 
+/** The GEMM tables' gate, on a system of @p dev sized to the mapping. */
+void
+enforceTableGate(const Device &dev, const TransformerConfig &cfg,
+                 const InferenceOptions &opts)
+{
+    System shape;
+    shape.device = dev;
+    shape.devicesPerNode = 1;
+    shape.numNodes = static_cast<int>(std::max<long long>(
+        1, opts.tensorParallel * opts.pipelineParallel));
+    lint::LintReport report = lint::lintModel(cfg);
+    if (!report.hasErrors())
+        report.merge(lint::lintInferenceMapping(cfg, shape, opts));
+    lint::enforce(report);
+}
+
 } // namespace
 
 std::vector<GemmBoundRow>
 prefillGemmTable(const Device &dev, const TransformerConfig &cfg,
                  const InferenceOptions &opts)
 {
+    enforceTableGate(dev, cfg, opts);
     LayerGraphParams gp;
     gp.batch = opts.batch;
     gp.seq = opts.promptLength;
@@ -72,6 +91,8 @@ std::vector<GemmBoundRow>
 decodeGemmTable(const Device &dev, const TransformerConfig &cfg,
                 const InferenceOptions &opts, long long context)
 {
+    enforceTableGate(dev, cfg, opts);
+    checkPositive(context, "context");
     long long heads_local = cfg.numHeads / opts.tensorParallel;
     return gemmTable(dev,
                      decodeLayerOps(cfg, opts.batch, context,

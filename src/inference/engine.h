@@ -92,7 +92,7 @@ struct InferenceReport
     bool fitsDeviceMemory = true;
 };
 
-/** Evaluate end-to-end inference latency of @p cfg on @p sys. */
+/** Evaluate end-to-end inference latency (gate: lintInferenceGate). */
 InferenceReport evaluateInference(const TransformerConfig &cfg,
                                   const System &sys,
                                   const InferenceOptions &opts);
@@ -100,13 +100,14 @@ InferenceReport evaluateInference(const TransformerConfig &cfg,
 /**
  * Per-GEMM bound-type table for the prefill phase of one transformer
  * layer (paper Table 4). Attention-score rows are reported per single
- * head, matching the paper's presentation.
+ * head, matching the paper's presentation. Gate: lint::lintModel and
+ * lint::lintInferenceMapping.
  */
 std::vector<GemmBoundRow> prefillGemmTable(const Device &dev,
                                            const TransformerConfig &cfg,
                                            const InferenceOptions &opts);
 
-/** Same table for one decode step at @p context cached tokens. */
+/** Same table (and gate) for one decode step at @p context tokens. */
 std::vector<GemmBoundRow> decodeGemmTable(const Device &dev,
                                           const TransformerConfig &cfg,
                                           const InferenceOptions &opts,

@@ -1,5 +1,8 @@
 #include "inference/serving.h"
 
+#include <algorithm>
+
+#include "lint/lint.h"
 #include "memory/kv_cache.h"
 #include "plan/plan.h"
 #include "util/error.h"
@@ -13,30 +16,51 @@ evaluateServingPoint(const TransformerConfig &cfg, const System &sys,
     return servingSweep(cfg, sys, opts, {batch}).front();
 }
 
-std::vector<ServingPoint>
-servingSweep(const TransformerConfig &cfg, const System &sys,
-             const ServingOptions &opts,
-             const std::vector<long long> &batches)
+InferenceOptions
+servingInference(const ServingOptions &opts)
 {
-    cfg.validate();
-    sys.validate();
-    checkPositive(opts.promptLength, "promptLength");
-    checkPositive(opts.generateLength, "generateLength");
-
-    // Continuous batching interleaves one prefill per completed
-    // sequence; amortize its cost over that sequence's generated
-    // tokens. Prefill runs at batch 1 (chunked alongside decode), so
-    // one evaluation prices it for every batch of the sweep.
     InferenceOptions io;
     io.precision = opts.precision;
     io.tensorParallel = opts.tensorParallel;
     io.batch = 1;
     io.promptLength = opts.promptLength;
-    io.generateLength = 1;
+    io.generateLength = opts.generateLength;
     io.flashAttention = opts.flashAttention;
     io.collectiveAlgorithm = opts.collectiveAlgorithm;
     io.kvPrecision = opts.kvPrecision;
-    const double prefill = evaluateInference(cfg, sys, io).prefill.time;
+    return io;
+}
+
+std::vector<ServingPoint>
+servingSweep(const TransformerConfig &cfg, const System &sys,
+             const ServingOptions &opts,
+             const std::vector<long long> &batches)
+{
+    // Of the gate's rules only positivity reads the batch, so the
+    // smallest batch stands for the whole sweep.
+    InferenceOptions io = servingInference(opts);
+    if (!batches.empty())
+        io.batch = *std::min_element(batches.begin(), batches.end());
+    lint::enforce(lint::lintInferenceGate(cfg, sys, io));
+    return servingSweepLinted(cfg, sys, opts, batches);
+}
+
+std::vector<ServingPoint>
+servingSweepLinted(const TransformerConfig &cfg, const System &sys,
+                   const ServingOptions &opts,
+                   const std::vector<long long> &batches)
+{
+    // Continuous batching interleaves one prefill per completed
+    // sequence; amortize its cost over that sequence's generated
+    // tokens. Prefill runs at batch 1 (chunked alongside decode), so
+    // one evaluation prices it for every batch of the sweep.
+    InferenceOptions io = servingInference(opts);
+    plan::KernelPlan prefill_plan;
+    plan::lowerPrefill(cfg, sys, io, prefill_plan.steps);
+    const double prefill =
+        plan::foldInference(
+            plan::evaluatePlan(std::move(prefill_plan), sys), nullptr)
+            .prefill.time;
     const double amortized_prefill =
         prefill / double(opts.generateLength);
 
@@ -52,7 +76,6 @@ servingSweep(const TransformerConfig &cfg, const System &sys,
     std::vector<ServingPoint> out;
     out.reserve(batches.size());
     for (long long batch : batches) {
-        checkPositive(batch, "batch");
         ServingPoint pt;
         pt.batch = batch;
 
@@ -105,11 +128,9 @@ maxThroughputPoint(const TransformerConfig &cfg, const System &sys,
 }
 
 double
-costPerMillionTokens(const System &sys, const ServingOptions &opts,
-                     const ServingPoint &point,
+costPerMillionTokens(const ServingOptions &opts, const ServingPoint &point,
                      const ServingCostModel &cost)
 {
-    (void)sys;  // reserved for per-system power/price lookups
     checkPositive(point.tokensPerSecond, "tokens per second");
 
     const double devices = double(opts.tensorParallel);

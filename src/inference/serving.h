@@ -58,19 +58,28 @@ ServingPoint evaluateServingPoint(const TransformerConfig &cfg,
                                   const ServingOptions &opts,
                                   long long batch);
 
+/** The batch-1 inference a serving sweep lints and prices prefill with. */
+InferenceOptions servingInference(const ServingOptions &opts);
+
 /**
  * Evaluate a sweep of batch sizes, one point per entry of @p batches.
- * The batch-1 prefill is priced once per call; each batch then costs
- * one decode step lowered by plan::lowerDecodeTokens, the same step
- * evaluateInference prices per generated token. Every serving entry
- * point (evaluateServingPoint, maxThroughputPoint, planServing,
- * `optimus_cli serve`) goes through here.
+ * Gate: lint::lintInferenceGate on servingInference(@p opts) at the
+ * smallest batch. Every serving entry point goes through here, or
+ * (planServing) enforces the same gate and calls servingSweepLinted.
  */
 std::vector<ServingPoint> servingSweep(const TransformerConfig &cfg,
                                        const System &sys,
                                        const ServingOptions &opts,
                                        const std::vector<long long> &
                                            batches);
+
+/**
+ * servingSweep after its gate: the batch-1 prefill is priced once,
+ * then one decode step (plan::lowerDecodeTokens) per batch.
+ */
+std::vector<ServingPoint> servingSweepLinted(
+    const TransformerConfig &cfg, const System &sys,
+    const ServingOptions &opts, const std::vector<long long> &batches);
 
 /**
  * Largest power-of-two batch whose weights + KV cache fit device
@@ -92,8 +101,7 @@ struct ServingCostModel
  * Serving cost in USD per million generated tokens at an operating
  * point: amortized hardware for the TP group plus electricity.
  */
-double costPerMillionTokens(const System &sys,
-                            const ServingOptions &opts,
+double costPerMillionTokens(const ServingOptions &opts,
                             const ServingPoint &point,
                             const ServingCostModel &cost = {});
 

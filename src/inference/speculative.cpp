@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "lint/lint.h"
 #include "plan/plan.h"
 #include "util/error.h"
 
@@ -9,20 +10,29 @@ namespace optimus {
 
 namespace {
 
+/** A cycle at TP @p tp: the context, then up to gamma + 1 tokens. */
+InferenceOptions
+cycleOptions(const SpeculativeOptions &opts, long long tp)
+{
+    InferenceOptions io;
+    io.precision = opts.precision;
+    io.kvPrecision = opts.precision;
+    io.tensorParallel = tp;
+    io.promptLength = opts.context;
+    io.generateLength = opts.gamma + 1;
+    return io;
+}
+
 /**
  * One decode step of @p cfg over @p queries query tokens at
- * opts.context, priced through the plan's decode-step lowering. The
- * KV cache is stored at the compute precision.
+ * opts.context, priced through the plan's decode-step lowering.
  */
 double
 decodeStep(const TransformerConfig &cfg, const System &sys,
            const SpeculativeOptions &opts, long long queries,
            long long tp)
 {
-    InferenceOptions io;
-    io.precision = opts.precision;
-    io.kvPrecision = opts.precision;
-    io.tensorParallel = tp;
+    InferenceOptions io = cycleOptions(opts, tp);
     io.batch = queries;
     io.promptLength = opts.context - 1;
     plan::KernelPlan kp;
@@ -39,13 +49,21 @@ evaluateSpeculative(const TransformerConfig &target,
                     const TransformerConfig &draft, const System &sys,
                     const SpeculativeOptions &opts)
 {
-    target.validate();
-    draft.validate();
-    sys.validate();
     checkPositive(opts.gamma, "gamma");
-    checkPositive(opts.context, "context");
     checkConfig(opts.acceptanceRate > 0.0 && opts.acceptanceRate < 1.0,
                 "acceptanceRate must be in (0,1)");
+
+    // Gate: the target at its TP and the draft at TP 1.
+    lint::LintReport report = lint::lintModel(target);
+    report.merge(lint::lintModel(draft));
+    report.merge(lint::lintSystem(sys));
+    if (!report.hasErrors()) {
+        report.merge(lint::lintInferenceMapping(
+            target, sys, cycleOptions(opts, opts.tensorParallel)));
+        report.merge(
+            lint::lintInferenceMapping(draft, sys, cycleOptions(opts, 1)));
+    }
+    lint::enforce(report);
     checkConfig(draft.parameterCount() < target.parameterCount(),
                 "draft model must be smaller than the target");
 

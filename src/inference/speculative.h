@@ -45,7 +45,8 @@ struct SpeculativeReport
  *
  * Expected tokens per cycle follows Leviathan et al.:
  *   E[n] = (1 - a^(gamma+1)) / (1 - a)
- * with per-token acceptance rate a.
+ * with per-token acceptance rate a. Gate: both models, the system and
+ * lint::lintInferenceMapping of the target at its TP, the draft at 1.
  */
 SpeculativeReport evaluateSpeculative(const TransformerConfig &target,
                                       const TransformerConfig &draft,

@@ -1,6 +1,8 @@
 #include "lint/lint.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <utility>
 
 #include "memory/footprint.h"
 #include "memory/kv_cache.h"
@@ -46,8 +48,15 @@ LintReport::warning(std::string rule_id, std::string message,
 void
 LintReport::merge(const LintReport &other)
 {
-    diags_.insert(diags_.end(), other.diags_.begin(),
-                  other.diags_.end());
+    // Two passes that raise the same finding (one device's precision
+    // for two models, one option at several ZeRO stages) report it once.
+    for (const Diagnostic &d : other.diags_)
+        if (std::none_of(diags_.begin(), diags_.end(),
+                         [&](const Diagnostic &e) {
+                             return e.ruleId == d.ruleId &&
+                                    e.message == d.message;
+                         }))
+            diags_.push_back(d);
 }
 
 size_t
@@ -153,6 +162,10 @@ ruleCatalog()
          "parallelization degrees and batch sizes must be positive"},
         {kRuleSeqVsContextParallel, Severity::Error,
          "sequence length must divide by the context-parallel degree"},
+        {kRuleZeroStage, Severity::Error,
+         "ZeRO stage must be 0, 1, 2 or 3"},
+        {kRuleContextParallelFlash, Severity::Error,
+         "context parallelism (ring attention) requires flash attention"},
     };
     return catalog;
 }
@@ -167,29 +180,58 @@ str(long long v)
 
 /** Emit OPT-CFG-020 for every non-positive field; true if any fired. */
 bool
-checkMappingPositive(const ParallelConfig &par, long long global_batch,
-                     LintReport &report)
+requirePositive(
+    std::initializer_list<std::pair<const char *, long long>> fields,
+    LintReport &report)
 {
-    const struct { const char *name; long long value; } fields[] = {
-        {"dataParallel", par.dataParallel},
-        {"tensorParallel", par.tensorParallel},
-        {"pipelineParallel", par.pipelineParallel},
-        {"microbatchSize", par.microbatchSize},
-        {"interleavedStages", par.interleavedStages},
-        {"expertParallel", par.expertParallel},
-        {"contextParallel", par.contextParallel},
-        {"global batch", global_batch},
-    };
     bool fired = false;
-    for (const auto &f : fields) {
-        if (f.value <= 0) {
+    for (const auto &[name, value] : fields) {
+        if (value <= 0) {
             report.error(kRuleMappingPositive,
-                         std::string(f.name) + " must be positive, got " +
-                             str(f.value));
+                         std::string(name) + " must be positive, got " +
+                             str(value));
             fired = true;
         }
     }
     return fired;
+}
+
+/** OPT-PAR-001/006/014; @p replicated names what uneven KV heads copy. */
+void
+tensorParallelRules(const TransformerConfig &cfg, long long tp,
+                    const char *replicated, LintReport &report)
+{
+    if (cfg.numHeads % tp != 0)
+        report.error(kRuleTpHeads,
+                     str(cfg.numHeads) +
+                         " attention heads do not divide by TP degree " +
+                         str(tp),
+                     "pick a TP degree that divides the head count");
+    if (cfg.ffnHidden % tp != 0)
+        report.error(kRuleTpFfn,
+                     "FFN width " + str(cfg.ffnHidden) +
+                         " does not divide by TP degree " + str(tp),
+                     "pick a TP degree that divides ffnHidden");
+    if (tp > 1 && cfg.numKvHeads % tp != 0)
+        report.warning(kRuleTpKvHeads,
+                       str(cfg.numKvHeads) +
+                           " KV heads do not divide by TP degree " +
+                           str(tp) + "; " + replicated +
+                           " will be replicated",
+                       "for GQA models keep TP <= numKvHeads or a "
+                       "divisor of it");
+}
+
+/** OPT-PREC-005: @p dev's matrix engine must run @p precision. */
+void
+precisionRule(const Device &dev, Precision precision, LintReport &report)
+{
+    if (!dev.supportsMatrix(precision))
+        report.error(kRulePrecisionSupport,
+                     dev.name + " has no matrix-engine path for " +
+                         precisionName(precision),
+                     "pick a supported precision (see the device's "
+                     "matrixThroughput table)");
 }
 
 } // namespace
@@ -337,7 +379,15 @@ lintMapping(const TransformerConfig &cfg, const System &sys,
             const ParallelConfig &par, long long global_batch)
 {
     LintReport report;
-    if (checkMappingPositive(par, global_batch, report))
+    if (requirePositive({{"dataParallel", par.dataParallel},
+                         {"tensorParallel", par.tensorParallel},
+                         {"pipelineParallel", par.pipelineParallel},
+                         {"microbatchSize", par.microbatchSize},
+                         {"interleavedStages", par.interleavedStages},
+                         {"expertParallel", par.expertParallel},
+                         {"contextParallel", par.contextParallel},
+                         {"global batch", global_batch}},
+                        report))
         return report;  // divisibility math below needs positives
 
     if (par.totalDevices() != sys.totalDevices())
@@ -354,27 +404,7 @@ lintMapping(const TransformerConfig &cfg, const System &sys,
                          " devices of a node",
                      "keep TP within a node (Megatron convention); "
                      "use PP or DP across nodes");
-    if (cfg.numHeads % par.tensorParallel != 0)
-        report.error(kRuleTpHeads,
-                     str(cfg.numHeads) +
-                         " attention heads do not divide by TP degree " +
-                         str(par.tensorParallel),
-                     "pick a TP degree that divides the head count");
-    if (cfg.ffnHidden % par.tensorParallel != 0)
-        report.error(kRuleTpFfn,
-                     "FFN width " + str(cfg.ffnHidden) +
-                         " does not divide by TP degree " +
-                         str(par.tensorParallel),
-                     "pick a TP degree that divides ffnHidden");
-    if (par.tensorParallel > 1 &&
-        cfg.numKvHeads % par.tensorParallel != 0)
-        report.warning(kRuleTpKvHeads,
-                       str(cfg.numKvHeads) +
-                           " KV heads do not divide by TP degree " +
-                           str(par.tensorParallel) +
-                           "; KV projections will be replicated",
-                       "for GQA models keep TP <= numKvHeads or a "
-                       "divisor of it");
+    tensorParallelRules(cfg, par.tensorParallel, "KV projections", report);
 
     const long long stages =
         par.pipelineParallel * par.interleavedStages;
@@ -447,25 +477,15 @@ lintMapping(const TransformerConfig &cfg, const System &sys,
 }
 
 LintReport
-lintTraining(const TransformerConfig &cfg, const System &sys,
-             const ParallelConfig &par, long long global_batch,
-             const TrainingOptions &opts)
+lintTrainingOptions(const TransformerConfig &cfg, const System &sys,
+                    const ParallelConfig &par,
+                    const TrainingOptions &opts)
 {
-    LintReport report = lintModel(cfg);
-    report.merge(lintSystem(sys));
-    const bool structure_ok = !report.hasErrors();
-    if (structure_ok)
-        report.merge(lintMapping(cfg, sys, par, global_batch));
-
-    if (structure_ok &&
-        !sys.device.supportsMatrix(opts.precision))
-        report.error(kRulePrecisionSupport,
-                     sys.device.name +
-                         " has no matrix-engine path for " +
-                         precisionName(opts.precision),
-                     "pick a supported precision (see the device's "
-                     "matrixThroughput table)");
-    if (opts.seqLength > 0 && opts.seqLength > cfg.maxSeqLength)
+    LintReport report;
+    precisionRule(sys.device, opts.precision, report);
+    const bool seq_ok =
+        !requirePositive({{"seqLength", opts.seqLength}}, report);
+    if (seq_ok && opts.seqLength > cfg.maxSeqLength)
         report.warning(kRuleSequenceLength,
                        "training sequence length " +
                            str(opts.seqLength) +
@@ -473,15 +493,47 @@ lintTraining(const TransformerConfig &cfg, const System &sys,
                            str(cfg.maxSeqLength),
                        "extend maxSeqLength (position embeddings) or "
                        "shorten the sequences");
-    if (structure_ok && opts.seqLength > 0 &&
+    if (seq_ok && par.contextParallel > 0 &&
         opts.seqLength % par.contextParallel != 0)
         report.error(kRuleSeqVsContextParallel,
                      "sequence length " + str(opts.seqLength) +
                          " does not divide by CP degree " +
                          str(par.contextParallel));
+    if (par.contextParallel > 1 && !opts.flashAttention)
+        report.error(kRuleContextParallelFlash,
+                     "CP degree " + str(par.contextParallel) +
+                         " needs flash attention (ring attention)",
+                     "enable flashAttention or set contextParallel = 1");
+    if (opts.memory.zeroStage < 0 || opts.memory.zeroStage > 3)
+        report.error(kRuleZeroStage,
+                     "ZeRO stage must be 0, 1, 2 or 3, got " +
+                         str(opts.memory.zeroStage));
+    return report;
+}
 
-    // The footprint is only meaningful once the mapping itself is
-    // legal; an illegal shard has no well-defined per-device memory.
+LintReport
+lintTrainingGate(const TransformerConfig &cfg, const System &sys,
+                 const ParallelConfig &par, long long global_batch,
+                 const TrainingOptions &opts)
+{
+    LintReport report = lintModel(cfg);
+    report.merge(lintSystem(sys));
+    if (!report.hasErrors()) {
+        report.merge(lintMapping(cfg, sys, par, global_batch));
+        report.merge(lintTrainingOptions(cfg, sys, par, opts));
+    }
+    return report;
+}
+
+LintReport
+lintTraining(const TransformerConfig &cfg, const System &sys,
+             const ParallelConfig &par, long long global_batch,
+             const TrainingOptions &opts)
+{
+    LintReport report =
+        lintTrainingGate(cfg, sys, par, global_batch, opts);
+
+    // An illegal shard has no well-defined per-device memory.
     if (!report.hasErrors()) {
         const TrainingMemory mem = trainingMemoryPerDevice(
             cfg, par, global_batch, opts.seqLength, opts.recompute,
@@ -508,19 +560,12 @@ lintInferenceMapping(const TransformerConfig &cfg, const System &sys,
                      const InferenceOptions &opts)
 {
     LintReport report;
-    const struct { const char *name; long long value; } fields[] = {
-        {"tensorParallel", opts.tensorParallel},
-        {"pipelineParallel", opts.pipelineParallel},
-        {"batch", opts.batch},
-        {"promptLength", opts.promptLength},
-        {"generateLength", opts.generateLength},
-    };
-    for (const auto &f : fields)
-        if (f.value <= 0)
-            report.error(kRuleMappingPositive,
-                         std::string(f.name) +
-                             " must be positive, got " + str(f.value));
-    if (report.hasErrors())
+    if (requirePositive({{"tensorParallel", opts.tensorParallel},
+                         {"pipelineParallel", opts.pipelineParallel},
+                         {"batch", opts.batch},
+                         {"promptLength", opts.promptLength},
+                         {"generateLength", opts.generateLength}},
+                        report))
         return report;
 
     const long long devices =
@@ -530,36 +575,14 @@ lintInferenceMapping(const TransformerConfig &cfg, const System &sys,
                      "inference mapping needs " + str(devices) +
                          " devices (TP*PP), system has " +
                          str(sys.totalDevices()));
-    if (cfg.numHeads % opts.tensorParallel != 0)
-        report.error(kRuleTpHeads,
-                     str(cfg.numHeads) +
-                         " attention heads do not divide by TP degree " +
-                         str(opts.tensorParallel),
-                     "pick a TP degree that divides the head count");
-    if (cfg.ffnHidden % opts.tensorParallel != 0)
-        report.error(kRuleTpFfn,
-                     "FFN width " + str(cfg.ffnHidden) +
-                         " does not divide by TP degree " +
-                         str(opts.tensorParallel));
-    if (opts.tensorParallel > 1 &&
-        cfg.numKvHeads % opts.tensorParallel != 0)
-        report.warning(kRuleTpKvHeads,
-                       str(cfg.numKvHeads) +
-                           " KV heads do not divide by TP degree " +
-                           str(opts.tensorParallel) +
-                           "; the KV cache will be replicated",
-                       "keep TP <= numKvHeads or a divisor of it");
+    tensorParallelRules(cfg, opts.tensorParallel, "the KV cache", report);
     if (cfg.numLayers % opts.pipelineParallel != 0)
         report.error(kRuleLayersPerStage,
                      str(cfg.numLayers) +
                          " layers do not divide by PP degree " +
                          str(opts.pipelineParallel));
 
-    if (!sys.device.supportsMatrix(opts.precision))
-        report.error(kRulePrecisionSupport,
-                     sys.device.name +
-                         " has no matrix-engine path for " +
-                         precisionName(opts.precision));
+    precisionRule(sys.device, opts.precision, report);
     if (opts.kvPrecision != opts.precision &&
         !sys.device.supportsMatrix(opts.kvPrecision))
         report.warning(kRuleKvPrecision,
@@ -581,14 +604,21 @@ lintInferenceMapping(const TransformerConfig &cfg, const System &sys,
 }
 
 LintReport
-lintInference(const TransformerConfig &cfg, const System &sys,
-              const InferenceOptions &opts)
+lintInferenceGate(const TransformerConfig &cfg, const System &sys,
+                  const InferenceOptions &opts)
 {
     LintReport report = lintModel(cfg);
     report.merge(lintSystem(sys));
     if (!report.hasErrors())
         report.merge(lintInferenceMapping(cfg, sys, opts));
+    return report;
+}
 
+LintReport
+lintInference(const TransformerConfig &cfg, const System &sys,
+              const InferenceOptions &opts)
+{
+    LintReport report = lintInferenceGate(cfg, sys, opts);
     if (!report.hasErrors()) {
         // Mirrors the engine's fitsDeviceMemory accounting.
         const long long context =

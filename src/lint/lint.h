@@ -12,9 +12,9 @@
  * of problems. Each rule has a stable identifier (OPT-PAR-001, ...)
  * catalogued in docs/DIAGNOSTICS.md.
  *
- * The legacy validate() entry points now route through this engine:
- * they throw LintError (a ConfigError carrying the complete report)
- * when any error-severity diagnostic fires.
+ * Lint is the one legality gate: each public entry point enforces one
+ * merged report (LintError on any error), and the code below it
+ * re-checks nothing (docs/DIAGNOSTICS.md, "Where lint runs").
  */
 
 #ifndef OPTIMUS_LINT_LINT_H
@@ -62,7 +62,7 @@ class LintReport
     /** Append a warning-severity diagnostic. */
     void warning(std::string rule_id, std::string message,
                  std::string hint = "");
-    /** Append every diagnostic of @p other. */
+    /** Append every diagnostic of @p other not already reported. */
     void merge(const LintReport &other);
 
     const std::vector<Diagnostic> &diagnostics() const
@@ -120,6 +120,8 @@ inline constexpr char kRuleModelStructure[] = "OPT-CFG-018";
 inline constexpr char kRuleSystemStructure[] = "OPT-CFG-019";
 inline constexpr char kRuleMappingPositive[] = "OPT-CFG-020";
 inline constexpr char kRuleSeqVsContextParallel[] = "OPT-PAR-021";
+inline constexpr char kRuleZeroStage[] = "OPT-MEM-022";
+inline constexpr char kRuleContextParallelFlash[] = "OPT-PAR-023";
 
 // ---- Lint passes -------------------------------------------------------
 
@@ -143,10 +145,22 @@ LintReport lintMapping(const TransformerConfig &cfg, const System &sys,
                        long long global_batch);
 
 /**
- * Full training-scenario lint: model + system + mapping plus the
- * option-dependent rules (precision support, sequence length, static
- * memory footprint vs device HBM).
+ * Training option rules: precision support, sequence length (positive,
+ * in the model's window, divisible by CP), CP needs flash attention,
+ * ZeRO stage 0-3. Assumes @p cfg and @p sys are structurally valid.
  */
+LintReport lintTrainingOptions(const TransformerConfig &cfg,
+                               const System &sys,
+                               const ParallelConfig &par,
+                               const TrainingOptions &opts);
+
+/** lowerTraining's gate: model + system, then mapping + options. */
+LintReport lintTrainingGate(const TransformerConfig &cfg,
+                            const System &sys, const ParallelConfig &par,
+                            long long global_batch,
+                            const TrainingOptions &opts);
+
+/** Full training lint: lintTrainingGate plus memory fit (OPT-MEM-002). */
 LintReport lintTraining(const TransformerConfig &cfg, const System &sys,
                         const ParallelConfig &par,
                         long long global_batch,
@@ -160,10 +174,12 @@ LintReport lintInferenceMapping(const TransformerConfig &cfg,
                                 const System &sys,
                                 const InferenceOptions &opts);
 
-/**
- * Full inference-scenario lint: model + system + mapping plus the
- * weights+KV-cache memory budget (OPT-MEM-015).
- */
+/** lowerInference's gate: model + system, then lintInferenceMapping. */
+LintReport lintInferenceGate(const TransformerConfig &cfg,
+                             const System &sys,
+                             const InferenceOptions &opts);
+
+/** Full inference lint: lintInferenceGate plus memory fit (OPT-MEM-015). */
 LintReport lintInference(const TransformerConfig &cfg, const System &sys,
                          const InferenceOptions &opts);
 
@@ -171,8 +187,8 @@ LintReport lintInference(const TransformerConfig &cfg, const System &sys,
 
 /**
  * Fast legality pre-filter for mapping enumeration (the planner / DSE
- * inner loops): true iff lintMapping() emits no error. Does not build
- * a Scenario, estimate memory, or evaluate anything.
+ * inner loops): true iff lintMapping() emits no error. Does not
+ * estimate memory or evaluate anything.
  */
 bool isLegalMapping(const TransformerConfig &cfg, const System &sys,
                     const ParallelConfig &par, long long global_batch);

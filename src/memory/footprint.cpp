@@ -1,7 +1,6 @@
 #include "memory/footprint.h"
 
 #include "parallel/pipeline.h"
-#include "util/error.h"
 
 namespace optimus {
 
@@ -35,13 +34,6 @@ trainingMemoryPerDevice(const TransformerConfig &cfg,
                         long long global_batch, long long seq,
                         Recompute recompute, const MemoryOptions &opts)
 {
-    cfg.validate();
-    checkPositive(global_batch, "global batch");
-    checkPositive(seq, "seq");
-
-    checkConfig(opts.zeroStage >= 0 && opts.zeroStage <= 3,
-                "zeroStage must be 0..3");
-
     TrainingMemory mem;
     double params = parametersPerDevice(cfg, par);
     double dp = double(par.dataParallel);
@@ -52,8 +44,6 @@ trainingMemoryPerDevice(const TransformerConfig &cfg,
     mem.optimizer = params * opts.optimizerBytesPerParam /
                     (opts.zeroStage >= 1 ? dp : 1.0);
 
-    checkConfig(seq % par.contextParallel == 0,
-                "sequence length must divide by the CP degree");
     ActivationParams ap;
     ap.microbatch = par.microbatchSize;
     ap.seq = seq / par.contextParallel;

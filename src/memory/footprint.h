@@ -52,7 +52,8 @@ double parametersPerDevice(const TransformerConfig &cfg,
 
 /**
  * Memory footprint of the worst device for training @p cfg with
- * global batch @p global_batch and sequence length @p seq.
+ * global batch @p global_batch and sequence length @p seq (input:
+ * lint::lintTrainingGate).
  */
 TrainingMemory trainingMemoryPerDevice(const TransformerConfig &cfg,
                                        const ParallelConfig &par,

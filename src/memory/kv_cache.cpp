@@ -1,16 +1,11 @@
 #include "memory/kv_cache.h"
 
-#include "util/error.h"
-
 namespace optimus {
 
 double
 kvCacheBytes(const TransformerConfig &cfg, long long batch,
              long long context, Precision precision)
 {
-    cfg.validate();
-    checkPositive(batch, "batch");
-    checkPositive(context, "context");
     double kv_width = double(cfg.numKvHeads) * double(cfg.headDim());
     // Sliding-window attention caps the cache at the window size.
     double kept = double(cfg.attentionSpan(context));
@@ -21,22 +16,7 @@ kvCacheBytes(const TransformerConfig &cfg, long long batch,
 double
 modelWeightBytes(const TransformerConfig &cfg, Precision precision)
 {
-    cfg.validate();
     return cfg.parameterCount() * precisionBytes(precision);
-}
-
-bool
-inferenceFits(const TransformerConfig &cfg, long long batch,
-              long long context, Precision precision,
-              long long tensor_parallel, double capacity)
-{
-    checkPositive(tensor_parallel, "tensorParallel");
-    checkPositive(capacity, "device capacity");
-    double per_device =
-        (modelWeightBytes(cfg, precision) +
-         kvCacheBytes(cfg, batch, context, precision)) /
-        double(tensor_parallel);
-    return per_device <= capacity;
 }
 
 } // namespace optimus

@@ -14,21 +14,16 @@
 
 namespace optimus {
 
-/** Total KV-cache bytes for @p batch sequences of @p context tokens. */
+/**
+ * Total KV-cache bytes for @p batch sequences of @p context tokens
+ * (input: lint::lintInferenceGate).
+ */
 double kvCacheBytes(const TransformerConfig &cfg, long long batch,
                     long long context, Precision precision);
 
-/** Total model weight bytes at @p precision. */
+/** Total model weight bytes at @p precision (input: lint::lintModel). */
 double modelWeightBytes(const TransformerConfig &cfg,
                         Precision precision);
-
-/**
- * Device-memory check for inference: weights + KV cache sharded over
- * @p tensor_parallel devices must fit @p capacity bytes.
- */
-bool inferenceFits(const TransformerConfig &cfg, long long batch,
-                   long long context, Precision precision,
-                   long long tensor_parallel, double capacity);
 
 } // namespace optimus
 

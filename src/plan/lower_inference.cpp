@@ -7,8 +7,8 @@
  * generated token, with the L layers aggregated into a single span per
  * token — the historical decode-lane shape. Only the attention ops
  * read the growing KV cache, so only they carry one op per token.
- * lowerDecodeTokens is the one decode-step lowering: the serving and
- * speculative models price their steps through it too.
+ * lowerPrefill and lowerDecodeTokens are the one prefill and decode-step
+ * lowerings: the serving and speculative models price through them.
  * All TP/PP communication scopes go through groupScopeFor(), so a TP
  * group larger than a node correctly pays the inter-node link.
  */
@@ -103,26 +103,13 @@ lowerDecodeTokens(const TransformerConfig &cfg, const System &sys,
     }
 }
 
-KernelPlan
-lowerInference(const TransformerConfig &cfg, const System &sys,
-               const InferenceOptions &opts)
+void
+lowerPrefill(const TransformerConfig &cfg, const System &sys,
+             const InferenceOptions &opts, std::vector<PlanStep> &steps)
 {
-    cfg.validate();
-    sys.validate();
-    // Linted like a training mapping (ParallelConfig::validate), so a
-    // rejected input carries its OPT-* rule id.
-    lint::enforce(lint::lintInferenceMapping(cfg, sys, opts));
-
     const long long L = cfg.numLayers;
     const long long tp = opts.tensorParallel;
 
-    KernelPlan kp;
-    kp.phase = "inference";
-    kp.lanes = {"prefill", "prefill/comm", "decode", "decode/comm"};
-    kp.counters = {{"infer/decode-tokens", double(opts.generateLength)},
-                   {"infer/layers", double(L)}};
-
-    // ---- Prefill (summarization) ------------------------------------
     LayerGraphParams gp;
     gp.batch = opts.batch;
     gp.seq = opts.promptLength;
@@ -135,7 +122,7 @@ lowerInference(const TransformerConfig &cfg, const System &sys,
         PlanStep s = opStep(op, "prefill", "prefill");
         s.repeatLayer = L;
         s.coordLayer = true;
-        kp.steps.push_back(std::move(s));
+        steps.push_back(std::move(s));
     }
 
     // TP all-reduce of the layer's two row-parallel outputs.
@@ -156,13 +143,31 @@ lowerInference(const TransformerConfig &cfg, const System &sys,
         s.scope = groupScopeFor(sys, tp);
         s.algorithm = opts.collectiveAlgorithm;
         s.callsPerInstance = 2.0;
-        kp.steps.push_back(std::move(s));
+        steps.push_back(std::move(s));
     }
 
     // First sampled token: the LM head runs once on the last position.
     for (const Op &op :
          headOps(cfg, opts.batch, tp, opts.precision))
-        kp.steps.push_back(opStep(op, "prefill", "prefill"));
+        steps.push_back(opStep(op, "prefill", "prefill"));
+}
+
+KernelPlan
+lowerInference(const TransformerConfig &cfg, const System &sys,
+               const InferenceOptions &opts)
+{
+    lint::enforce(lint::lintInferenceGate(cfg, sys, opts));
+
+    const long long tp = opts.tensorParallel;
+
+    KernelPlan kp;
+    kp.phase = "inference";
+    kp.lanes = {"prefill", "prefill/comm", "decode", "decode/comm"};
+    kp.counters = {{"infer/decode-tokens", double(opts.generateLength)},
+                   {"infer/layers", double(cfg.numLayers)}};
+
+    // ---- Prefill (summarization) ------------------------------------
+    lowerPrefill(cfg, sys, opts, kp.steps);
 
     // ---- Decode (auto-regressive generation) ------------------------
     lowerDecodeTokens(cfg, sys, opts, 0, opts.generateLength, kp.steps);

@@ -18,9 +18,9 @@
 
 #include <algorithm>
 
+#include "lint/lint.h"
 #include "memory/footprint.h"
 #include "parallel/pipeline.h"
-#include "util/error.h"
 #include "workload/activation.h"
 
 namespace optimus {
@@ -347,12 +347,8 @@ lowerTraining(const TransformerConfig &cfg, const System &sys,
               const ParallelConfig &par, long long global_batch,
               const TrainingOptions &opts)
 {
-    cfg.validate();
-    sys.validate();
-    par.validate(cfg, sys, global_batch);
-    checkPositive(opts.seqLength, "seqLength");
-    checkConfig(opts.seqLength % par.contextParallel == 0,
-                "sequence length must divide by the CP degree");
+    lint::enforce(
+        lint::lintTrainingGate(cfg, sys, par, global_batch, opts));
 
     KernelPlan kp;
     kp.steps = lowerTrainingCompute(cfg, par, opts);

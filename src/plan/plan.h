@@ -239,10 +239,7 @@ struct EvaluatedPlan
 
 // ---- Lower -----------------------------------------------------------
 
-/**
- * Lower a training configuration (validates its inputs): the compute
- * part followed by the mapping part.
- */
+/** Lower a training configuration (gate: lint::lintTrainingGate). */
 KernelPlan lowerTraining(const TransformerConfig &cfg, const System &sys,
                          const ParallelConfig &par, long long global_batch,
                          const TrainingOptions &opts);
@@ -253,7 +250,7 @@ KernelPlan lowerTraining(const TransformerConfig &cfg, const System &sys,
  * embed+head steps, with unit repeat counts and a Sum combine. For a
  * fixed model, precision, sequence length and flash-attention choice
  * it depends only on the compute class: TP, SP, EP, CP, microbatch
- * and recompute. Does not validate its inputs.
+ * and recompute. Input: lint::lintTrainingGate.
  */
 std::vector<PlanStep> lowerTrainingCompute(const TransformerConfig &cfg,
                                            const ParallelConfig &par,
@@ -265,16 +262,25 @@ std::vector<PlanStep> lowerTrainingCompute(const TransformerConfig &cfg,
  * layers per stage) and the embed+head PartCombine on those steps,
  * then appends the TP/CP/EP collectives, pp-p2p, the pipeline bubble,
  * the DP/ZeRO collectives and the optimizer step, and sets the plan's
- * lanes, counters and schedule fields. Does not validate its inputs.
+ * lanes, counters and schedule fields. Input: lint::lintTrainingGate.
  */
 void lowerTrainingMapping(const TransformerConfig &cfg, const System &sys,
                           const ParallelConfig &par,
                           long long global_batch,
                           const TrainingOptions &opts, KernelPlan &kp);
 
-/** Lower an inference configuration (validates its inputs). */
+/** Lower an inference configuration (gate: lint::lintInferenceGate). */
 KernelPlan lowerInference(const TransformerConfig &cfg, const System &sys,
                           const InferenceOptions &opts);
+
+/**
+ * Append the prefill steps to @p steps: the layer ops (repeated over
+ * the L layers), the TP all-reduce and the first token's sampling
+ * head. Input: lint::lintInferenceGate.
+ */
+void lowerPrefill(const TransformerConfig &cfg, const System &sys,
+                  const InferenceOptions &opts,
+                  std::vector<PlanStep> &steps);
 
 /**
  * Append the decode steps of generated tokens @p first ..
@@ -286,8 +292,8 @@ KernelPlan lowerInference(const TransformerConfig &cfg, const System &sys,
  * token; every other step is context-invariant and is lowered once.
  * With count == 1 every step is a plain one-token step.
  * lowerInference calls it once for all generated tokens; the serving
- * and speculative models price one decode step with count == 1. Does
- * not validate its inputs.
+ * and speculative models price one decode step with count == 1.
+ * Input: lint::lintInferenceGate.
  */
 void lowerDecodeTokens(const TransformerConfig &cfg, const System &sys,
                        const InferenceOptions &opts, long long first,

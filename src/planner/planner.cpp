@@ -13,23 +13,10 @@
 
 namespace optimus {
 
-namespace {
-
-/** Deepest interleaving for @p pp (one transformer layer per chunk). */
-long long
-deepestInterleave(const TransformerConfig &model, long long pp)
-{
-    return model.numLayers / pp;
-}
-
-} // namespace
-
 std::vector<TrainingPlan>
 planTraining(const TransformerConfig &model, const System &sys,
              long long global_batch, const TrainingPlannerOptions &opts)
 {
-    model.validate();
-    sys.validate();
     checkPositive(global_batch, "global batch");
     checkConfig(!opts.recomputeChoices.empty(),
                 "planner needs at least one recompute choice");
@@ -39,9 +26,7 @@ planTraining(const TransformerConfig &model, const System &sys,
     TraceSession *tr = opts.trace;
     const bool tron = tr != nullptr;
 
-    // Phase 1 (serial, cheap): enumerate the full candidate space,
-    // pruning by lint and memory. The loop-invariant option fields
-    // are built once, outside the recompute/zero loops.
+    // The loop-invariant option fields, built once.
     TrainingOptions base;
     base.precision = opts.precision;
     base.seqLength = opts.seqLength;
@@ -50,6 +35,21 @@ planTraining(const TransformerConfig &model, const System &sys,
     base.memory.activationBytes =
         std::max(1.0, precisionBytes(opts.precision));
 
+    // The gate: model, system, then the options at each ZeRO stage (no
+    // candidate sets CP); isLegalMapping filters each mapping.
+    lint::LintReport report = lint::lintModel(model);
+    report.merge(lint::lintSystem(sys));
+    if (!report.hasErrors())
+        for (int zero : opts.zeroStages) {
+            TrainingOptions topts = base;
+            topts.memory.zeroStage = zero;
+            report.merge(lint::lintTrainingOptions(model, sys,
+                                                   ParallelConfig{}, topts));
+        }
+    lint::enforce(report);
+
+    // Phase 1 (serial, cheap): enumerate the full candidate space,
+    // pruning by lint and memory.
     struct Candidate
     {
         ParallelConfig parallel;
@@ -80,7 +80,8 @@ planTraining(const TransformerConfig &model, const System &sys,
 
             std::vector<long long> interleaves = {1};
             if (opts.tryInterleaving && pp > 1) {
-                long long v = deepestInterleave(model, pp);
+                // The deepest: one transformer layer per chunk.
+                long long v = model.numLayers / pp;
                 if (v > 1)
                     interleaves.push_back(v);
             }
@@ -230,30 +231,34 @@ std::vector<ServingPlan>
 planServing(const TransformerConfig &model, const System &sys,
             const ServingPlannerOptions &opts)
 {
-    model.validate();
-    sys.validate();
     checkPositive(opts.maxBatch, "maxBatch");
     std::vector<long long> batches;
     for (long long b = 1; b <= opts.maxBatch; b *= 2)
         batches.push_back(b);
 
+    // servingSweep's gate at TP 1, legal for any model; the loop
+    // filters each TP choice.
+    ServingOptions sopts = opts.serving;
+    sopts.tensorParallel = 1;
+    lint::enforce(
+        lint::lintInferenceGate(model, sys, servingInference(sopts)));
+
     std::vector<ServingPlan> plans;
     TraceSession *tr = opts.trace;
     const bool tron = tr != nullptr;
     for (long long tp : opts.tensorParallelChoices) {
-        if (tp > sys.totalDevices() || model.numHeads % tp != 0 ||
-            model.ffnHidden % tp != 0) {
+        sopts.tensorParallel = tp;
+        if (lint::lintInferenceMapping(model, sys, servingInference(sopts))
+                .hasErrors()) {
             if (tron)
                 tr->counterAdd("planner/serving-tp-skipped");
             continue;
         }
-        ServingOptions sopts = opts.serving;
-        sopts.tensorParallel = tp;
 
         ServingPlan best;
         bool any = false;
         for (const ServingPoint &pt :
-             servingSweep(model, sys, sopts, batches)) {
+             servingSweepLinted(model, sys, sopts, batches)) {
             if (tron)
                 tr->counterAdd("planner/serving-points");
             if (!pt.fits)

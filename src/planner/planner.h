@@ -66,7 +66,8 @@ struct TrainingPlan
 
 /**
  * Enumerate and rank training plans (fastest first). Returns an empty
- * vector when nothing fits device memory.
+ * vector when nothing fits device memory. Gate: lint::lintModel,
+ * lint::lintSystem and lint::lintTrainingOptions per ZeRO stage.
  */
 std::vector<TrainingPlan> planTraining(
     const TransformerConfig &model, const System &sys,
@@ -104,7 +105,8 @@ struct ServingPlan
 
 /**
  * Rank serving deployments meeting the latency SLO by per-device
- * throughput (best first). Empty when the model fits nowhere.
+ * throughput (best first). Empty when the model fits nowhere. Gate:
+ * servingSweep's, at TP 1; lint::lintInferenceMapping filters TPs.
  */
 std::vector<ServingPlan> planServing(const TransformerConfig &model,
                                      const System &sys,

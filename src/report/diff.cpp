@@ -25,9 +25,18 @@ relPct(double a, double b)
     return 100.0 * (b - a) / std::fabs(a);
 }
 
+/** Equal, or both non-finite (written as null, read back as NaN). */
+bool
+unchanged(double a, double b)
+{
+    return a == b || (!std::isfinite(a) && !std::isfinite(b));
+}
+
 bool
 beyond(double a, double b, double tol_pct)
 {
+    if (!std::isfinite(a) || !std::isfinite(b))
+        return !unchanged(a, b);
     if (std::fabs(b - a) <= kAbsFloor)
         return false;
     return std::fabs(relPct(a, b)) > tol_pct;
@@ -67,7 +76,7 @@ diffNumericMaps(const std::vector<std::string> &keys, const Lookup &ga,
         MetricDelta d;
         d.key = key;
         if (va != nullptr && vb != nullptr) {
-            if (*va == *vb)
+            if (unchanged(*va, *vb))
                 continue;
             d.a = *va;
             d.b = *vb;
@@ -218,10 +227,10 @@ diffRuns(const RunRecord &a, const RunRecord &b,
                 d.beyondTolerance =
                     beyond(d.a.time, d.b.time, opts.tolPct);
                 // Unchanged in every recorded dimension: not a diff.
-                if (!d.boundFlip && d.a.time == d.b.time &&
-                    d.a.flops == d.b.flops &&
-                    d.a.dramBytes == d.b.dramBytes &&
-                    d.a.overhead == d.b.overhead &&
+                if (!d.boundFlip && unchanged(d.a.time, d.b.time) &&
+                    unchanged(d.a.flops, d.b.flops) &&
+                    unchanged(d.a.dramBytes, d.b.dramBytes) &&
+                    unchanged(d.a.overhead, d.b.overhead) &&
                     d.a.count == d.b.count)
                     continue;
             } else if (pa != ia.end()) {
@@ -261,7 +270,8 @@ diffRuns(const RunRecord &a, const RunRecord &b,
             auto pa = ia.find(key);
             auto pb = ib.find(key);
             if (pa != ia.end() && pb != ib.end() &&
-                pa->second->reference != pb->second->reference)
+                !unchanged(pa->second->reference,
+                           pb->second->reference))
                 diff.attrChanges.push_back(
                     "validation row '" + key +
                     "' reference changed: " +
@@ -365,7 +375,7 @@ diffText(const RunDiff &diff, const RunRecord &a, const RunRecord &b,
 
     // Attribute the total-time delta to its recorded components.
     if (a.hasMetric("time/total") && b.hasMetric("time/total") &&
-        a.metric("time/total") != b.metric("time/total")) {
+        !unchanged(a.metric("time/total"), b.metric("time/total"))) {
         os << "\ntime/total delta "
            << num(b.metric("time/total") - a.metric("time/total"))
            << " s decomposes as:";

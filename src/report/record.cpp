@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "config/serialize.h"
@@ -25,6 +26,21 @@ double
 secondsSince(clock::time_point t0)
 {
     return std::chrono::duration<double>(clock::now() - t0).count();
+}
+
+/** A written number; null, a non-finite one, reads as NaN. */
+double
+numberOf(const JsonValue &v)
+{
+    return v.isNull() ? std::numeric_limits<double>::quiet_NaN()
+                      : v.asNumber();
+}
+
+/** numberOf member @p key of @p obj, else @p fallback. */
+double
+numberAt(const JsonValue &obj, const std::string &key, double fallback)
+{
+    return obj.has(key) ? numberOf(obj.at(key)) : fallback;
 }
 
 /** Stamp build identity and fingerprint onto a fresh record. */
@@ -180,14 +196,14 @@ recordFromJson(const JsonValue &j)
     rec.kind = j.getString("kind", "");
     rec.label = j.getString("label", "");
     rec.fingerprint = j.getString("fingerprint", "");
-    rec.wallSeconds = j.getNumber("wall_seconds", 0.0);
+    rec.wallSeconds = numberAt(j, "wall_seconds", 0.0);
     rec.threads = static_cast<int>(j.getInt("threads", 1));
     if (j.has("config"))
         rec.config = j.at("config");
 
     if (j.has("metrics"))
         for (const auto &kv : j.at("metrics").asObject())
-            rec.metrics.emplace_back(kv.first, kv.second.asNumber());
+            rec.metrics.emplace_back(kv.first, numberOf(kv.second));
 
     if (j.has("kernels"))
         for (const JsonValue &e : j.at("kernels").asArray()) {
@@ -195,24 +211,24 @@ recordFromJson(const JsonValue &j)
             k.key = e.at("key").asString();
             k.category = e.getString("category", "");
             k.count = e.getInt("count", 0);
-            k.time = e.getNumber("time", 0.0);
-            k.flops = e.getNumber("flops", 0.0);
-            k.dramBytes = e.getNumber("dram_bytes", 0.0);
-            k.overhead = e.getNumber("overhead", 0.0);
+            k.time = numberAt(e, "time", 0.0);
+            k.flops = numberAt(e, "flops", 0.0);
+            k.dramBytes = numberAt(e, "dram_bytes", 0.0);
+            k.overhead = numberAt(e, "overhead", 0.0);
             k.bound = e.getString("bound", "");
             rec.kernels.push_back(std::move(k));
         }
 
     if (j.has("counters"))
         for (const auto &kv : j.at("counters").asObject())
-            rec.counters[kv.first] = kv.second.asNumber();
+            rec.counters[kv.first] = numberOf(kv.second);
 
     if (j.has("validation"))
         for (const JsonValue &e : j.at("validation").asArray()) {
             ValidationRow row;
             row.name = e.at("name").asString();
-            row.reference = e.getNumber("reference", 0.0);
-            row.predicted = e.getNumber("predicted", 0.0);
+            row.reference = numberAt(e, "reference", 0.0);
+            row.predicted = numberAt(e, "predicted", 0.0);
             rec.validation.push_back(std::move(row));
         }
 

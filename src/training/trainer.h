@@ -99,7 +99,8 @@ struct TrainingReport
 };
 
 /**
- * Evaluate training of @p cfg on @p sys under @p par.
+ * Evaluate training of @p cfg on @p sys under @p par (gate:
+ * lint::lintTrainingGate).
  *
  * @param global_batch  sequences per optimizer step
  */

@@ -424,9 +424,15 @@ escapeInto(std::string &out, const std::string &s)
 void
 numberInto(std::string &out, double v)
 {
+    // JSON has no infinities or NaN: write null, which JSON.parse,
+    // Python's json and jq accept.
+    if (!std::isfinite(v)) {
+        out.append("null");
+        return;
+    }
     char buf[40];
     // The range test comes first: the cast is undefined for
-    // |v| >= 2^63, infinities and NaN.
+    // |v| >= 2^63.
     if (std::fabs(v) < 1e15 && v == static_cast<long long>(v)) {
         const auto r = std::to_chars(buf, buf + sizeof(buf),
                                      static_cast<long long>(v));
@@ -440,8 +446,7 @@ numberInto(std::string &out, double v)
     // digits of the shortest round-trip form cannot round-trip, so the
     // search starts at the first precision >= d; the parse-back check
     // still guards every candidate. to_chars(general, P) is defined as
-    // printf's "%.Pg", so the bytes match the printf/strtod loop, and
-    // infinities and NaN print as printf spells them.
+    // printf's "%.Pg", so the bytes match the printf/strtod loop.
     const auto shortest = std::to_chars(buf, buf + sizeof(buf), v,
                                         std::chars_format::scientific);
     int digits = 0;

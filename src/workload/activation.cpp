@@ -27,10 +27,6 @@ ActivationBreakdown::total() const
 ActivationBreakdown
 layerActivations(const TransformerConfig &cfg, const ActivationParams &p)
 {
-    cfg.validate();
-    checkPositive(p.microbatch, "microbatch");
-    checkPositive(p.seq, "seq");
-    checkPositive(p.tensorParallel, "tensorParallel");
     checkPositive(p.activationBytes, "activationBytes");
 
     const double B = p.activationBytes;

@@ -63,7 +63,7 @@ struct ActivationBreakdown
     double total() const;
 };
 
-/** Per-layer activation breakdown under TP/SP sharding. */
+/** Per-layer activations under TP/SP (input: lint::lintTrainingGate). */
 ActivationBreakdown layerActivations(const TransformerConfig &cfg,
                                      const ActivationParams &p);
 

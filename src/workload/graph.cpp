@@ -130,19 +130,6 @@ appendFfnOps(std::vector<Op> &ops, const TransformerConfig &cfg,
 std::vector<Op>
 layerForwardOps(const TransformerConfig &cfg, const LayerGraphParams &p)
 {
-    cfg.validate();
-    checkPositive(p.batch, "batch");
-    checkPositive(p.seq, "seq");
-    checkPositive(p.tensorParallel, "tensorParallel");
-    checkPositive(p.contextParallel, "contextParallel");
-    checkConfig(cfg.numHeads % p.tensorParallel == 0,
-                cfg.name + ": heads must divide by TP degree");
-    checkConfig(p.seq % p.contextParallel == 0,
-                "sequence must divide by the CP degree");
-    checkConfig(p.contextParallel == 1 || p.flashAttention,
-                "context parallelism (ring attention) requires "
-                "flashAttention");
-
     const long long t = p.tensorParallel;
     const long long h = cfg.hiddenSize;
     const long long hd = cfg.headDim();
@@ -329,11 +316,6 @@ decodeLayerOps(const TransformerConfig &cfg, long long batch,
                long long context, long long tensor_parallel,
                Precision precision, Precision kv_precision)
 {
-    cfg.validate();
-    checkPositive(batch, "batch");
-    checkPositive(context, "context");
-    checkPositive(tensor_parallel, "tensorParallel");
-
     const long long t = tensor_parallel;
     const long long h = cfg.hiddenSize;
     const long long hd = cfg.headDim();
@@ -376,8 +358,6 @@ std::vector<Op>
 headOps(const TransformerConfig &cfg, long long tokens,
         long long tensor_parallel, Precision precision)
 {
-    cfg.validate();
-    checkPositive(tokens, "tokens");
     const long long v_local = cfg.vocabSize / tensor_parallel;
 
     std::vector<Op> ops;

@@ -101,14 +101,17 @@ struct LayerGraphParams
     bool flashAttention = false;
 };
 
-/** Forward op list for one transformer layer (one device's shard). */
+/**
+ * Forward op list for one transformer layer (one device's shard).
+ * Input: lint::lintTrainingGate or lint::lintInferenceGate.
+ */
 std::vector<Op> layerForwardOps(const TransformerConfig &cfg,
                                 const LayerGraphParams &p);
 
 /**
  * Backward op list derived from the forward graph: each GEMM yields a
  * data-gradient GEMM and a weight-gradient GEMM; stream ops move
- * roughly the same bytes again.
+ * roughly the same bytes again. Input: lint::lintTrainingGate.
  */
 std::vector<Op> layerBackwardOps(const TransformerConfig &cfg,
                                  const LayerGraphParams &p);
@@ -118,6 +121,7 @@ std::vector<Op> layerBackwardOps(const TransformerConfig &cfg,
  * sequence, attending over @p context cached tokens (KV cache,
  * Sec. 3.5). @p kv_precision sets the storage format of the cache
  * (KV-cache quantization serves fp16 models with fp8/int8 caches).
+ * Input: lint::lintInferenceGate.
  */
 std::vector<Op> decodeLayerOps(const TransformerConfig &cfg,
                                long long batch, long long context,
@@ -133,16 +137,14 @@ std::vector<Op> decodeLayerOps(const TransformerConfig &cfg,
  * The context-dependent part of decodeLayerOps: the qk^T, attn-softmax
  * and attn-v ops over @p context cached tokens, the entries
  * decodeLayerOps holds between kv-append and attn-out. Every other
- * decode op is the same at any context. Does not validate its inputs
- * (decodeLayerOps and the inference lowering do), so the lowering can
- * call it once per generated token cheaply.
+ * decode op is the same at any context. Input: lintInferenceGate.
  */
 std::vector<Op> decodeAttentionOps(const TransformerConfig &cfg,
                                    long long batch, long long context,
                                    long long tensor_parallel,
                                    Precision kv_precision);
 
-/** LM head (logits GEMM + softmax) ops for @p tokens positions. */
+/** LM head ops for @p tokens positions (input: either lint gate). */
 std::vector<Op> headOps(const TransformerConfig &cfg, long long tokens,
                         long long tensor_parallel, Precision precision);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "hw/presets.h"
+#include "lint/lint.h"
 #include "memory/footprint.h"
 #include "training/trainer.h"
 #include "util/error.h"
@@ -59,13 +60,33 @@ TEST(ContextParallel, ShardsWorkButKeepsFullKvReads)
 
 TEST(ContextParallel, RequiresFlashAttention)
 {
+    // The rules live in lint; the gate in evaluateTraining enforces
+    // them before any op is built.
     TransformerConfig cfg = models::gpt7b();
-    LayerGraphParams p = cpParams(4);
-    p.flashAttention = false;
-    EXPECT_THROW(layerForwardOps(cfg, p), ConfigError);
+    System sys = presets::dgxA100(4);
+    ParallelConfig par;
+    par.contextParallel = 4;
+    par.tensorParallel = 8;
+    TrainingOptions opts;
+    opts.seqLength = 8192;
+    EXPECT_TRUE(lint::lintTraining(cfg, sys, par, 8, opts)
+                    .has(lint::kRuleContextParallelFlash));
+    try {
+        evaluateTraining(cfg, sys, par, 8, opts);
+        FAIL() << "expected LintError";
+    } catch (const LintError &e) {
+        EXPECT_TRUE(e.report().has(lint::kRuleContextParallelFlash));
+    }
+
     // Sequence must divide by cp.
-    p = cpParams(3, 8192);
-    EXPECT_THROW(layerForwardOps(cfg, p), ConfigError);
+    opts.flashAttention = true;
+    par.contextParallel = 3;
+    par.dataParallel = 1;
+    opts.seqLength = 8192;
+    sys = presets::dgxA100(3);
+    EXPECT_TRUE(lint::lintTraining(cfg, sys, par, 8, opts)
+                    .has(lint::kRuleSeqVsContextParallel));
+    EXPECT_THROW(evaluateTraining(cfg, sys, par, 8, opts), LintError);
 }
 
 TEST(ContextParallel, MultipliesDeviceCount)

@@ -9,6 +9,7 @@
 
 #include "hw/presets.h"
 #include "inference/engine.h"
+#include "lint/lint.h"
 #include "training/trainer.h"
 #include "util/error.h"
 #include "util/units.h"
@@ -176,11 +177,13 @@ TEST(Zero, StagesShardProgressively)
         EXPECT_LT(total, prev);
         prev = total;
     }
-    MemoryOptions bad;
-    bad.zeroStage = 4;
-    EXPECT_THROW(trainingMemoryPerDevice(cfg, par, 64, 2048,
-                                         Recompute::Selective, bad),
-                 ConfigError);
+    // The stage range is a lint rule, enforced at the gate.
+    TrainingOptions bad;
+    bad.memory.zeroStage = 4;
+    const System sys = presets::dgxA100(16);
+    EXPECT_TRUE(lint::lintTraining(cfg, sys, par, 64, bad)
+                    .has(lint::kRuleZeroStage));
+    EXPECT_THROW(evaluateTraining(cfg, sys, par, 64, bad), LintError);
 }
 
 TEST(Zero, Stage1SpeedsUpOptimizerStep)

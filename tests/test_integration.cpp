@@ -123,10 +123,10 @@ TEST(Integration, ScenarioOnTpuWithBf16)
     par.dataParallel = 2;
     par.tensorParallel = 8;
     par.pipelineParallel = 8;
-    Scenario sc(models::gpt175b(), presets::tpuV4Pod(2), par, 64);
     TrainingOptions opts;
     opts.precision = Precision::BF16;
-    TrainingReport rep = sc.train(opts);
+    TrainingReport rep = evaluateTraining(
+        models::gpt175b(), presets::tpuV4Pod(2), par, 64, opts);
     EXPECT_GT(rep.timePerBatch, 0.0);
 }
 

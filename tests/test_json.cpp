@@ -148,6 +148,8 @@ TEST(Json, EscapesBetweenLongPlainRuns)
 std::string
 referenceNumber(double v)
 {
+    if (!std::isfinite(v))
+        return "null";
     if (std::fabs(v) < 1e15 && v == static_cast<long long>(v))
         return std::to_string(static_cast<long long>(v));
     char buf[40];
@@ -200,14 +202,17 @@ TEST(Json, NumberSpellings)
         {DBL_MAX, "1.7976931348623157e+308"},
         {0.1 + 0.2, "0.30000000000000004"},
         {1.0 / 3.0, "0.3333333333333333"},
-        {std::numeric_limits<double>::infinity(), "inf"},
-        {-std::numeric_limits<double>::infinity(), "-inf"},
-        {std::numeric_limits<double>::quiet_NaN(), "nan"},
+        // JSON has no infinities or NaN: they are written as null.
+        {std::numeric_limits<double>::infinity(), "null"},
+        {-std::numeric_limits<double>::infinity(), "null"},
+        {std::numeric_limits<double>::quiet_NaN(), "null"},
     };
     for (const auto &c : cases) {
         EXPECT_EQ(JsonValue::number(c.value).dump(), c.text)
             << std::hexfloat << c.value;
         EXPECT_EQ(referenceNumber(c.value), c.text);
+        // Every spelling is JSON: it parses back.
+        EXPECT_NO_THROW(JsonValue::parse("[" + std::string(c.text) + "]"));
     }
 }
 

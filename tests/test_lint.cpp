@@ -10,9 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/scenario.h"
 #include "hw/presets.h"
 #include "lint/lint.h"
+#include "training/trainer.h"
 #include "util/units.h"
 #include "workload/presets.h"
 
@@ -119,9 +119,10 @@ TEST(LintCatalog, EveryRuleIdIsCataloguedOnce)
           lint::kRuleInferMemory, lint::kRuleSequenceLength,
           lint::kRuleKvPrecision, lint::kRuleModelStructure,
           lint::kRuleSystemStructure, lint::kRuleMappingPositive,
-          lint::kRuleSeqVsContextParallel})
+          lint::kRuleSeqVsContextParallel, lint::kRuleZeroStage,
+          lint::kRuleContextParallelFlash})
         EXPECT_TRUE(ids.count(id)) << id << " missing from catalog";
-    EXPECT_EQ(ids.size(), 21u);
+    EXPECT_EQ(ids.size(), 23u);
 }
 
 // ---- Mapping rules (positive / negative per ID) ------------------------
@@ -493,7 +494,7 @@ TEST(LintIntegration, ScenarioThrowsLintErrorWithAllDiagnostics)
     par.tensorParallel = 7;
     par.pipelineParallel = 8;
     try {
-        Scenario sc(models::gpt175b(), presets::dgxA100(8), par, 64);
+        evaluateTraining(models::gpt175b(), presets::dgxA100(8), par, 64);
         FAIL() << "expected LintError";
     } catch (const LintError &e) {
         EXPECT_TRUE(e.report().has(lint::kRuleTpHeads));

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "hw/presets.h"
+#include "inference/engine.h"
+#include "lint/lint.h"
 #include "memory/footprint.h"
 #include "memory/kv_cache.h"
 #include "util/error.h"
@@ -56,16 +58,22 @@ TEST(KvCache, Llama13BInsetNumbers)
 
 TEST(KvCache, InferenceFits)
 {
+    // The fit rule is lint's OPT-MEM-015; the engine reports the same
+    // accounting as fitsDeviceMemory.
     TransformerConfig cfg = models::llama2_70b();
+    const System sys = presets::dgxA100(1);
+    InferenceOptions opts;  // 200 + 200 tokens: a 400-token context
     // 70B fp16 = ~129 GiB of weights: does not fit one 80 GiB A100.
-    EXPECT_FALSE(
-        inferenceFits(cfg, 1, 400, Precision::FP16, 1, 80 * GiB));
+    opts.tensorParallel = 1;
+    EXPECT_TRUE(lint::lintInference(cfg, sys, opts)
+                    .has(lint::kRuleInferMemory));
+    EXPECT_FALSE(evaluateInference(cfg, sys, opts).fitsDeviceMemory);
     // Fits across two devices.
-    EXPECT_TRUE(
-        inferenceFits(cfg, 1, 400, Precision::FP16, 2, 80 * GiB));
-    EXPECT_THROW(inferenceFits(cfg, 1, 400, Precision::FP16, 0,
-                               80 * GiB),
-                 ConfigError);
+    opts.tensorParallel = 2;
+    EXPECT_FALSE(lint::lintInference(cfg, sys, opts).hasErrors());
+    EXPECT_TRUE(evaluateInference(cfg, sys, opts).fitsDeviceMemory);
+    opts.tensorParallel = 0;
+    EXPECT_THROW(evaluateInference(cfg, sys, opts), LintError);
 }
 
 TEST(Footprint, ParameterShardingByTpAndPp)

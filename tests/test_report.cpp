@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <string>
 
 #include "dse/search.h"
@@ -158,6 +161,27 @@ TEST(RunRecord, JsonRoundTripIsLossless)
     // The loss-free contract is what makes self-diff exact.
     report::RunDiff diff = report::diffRuns(rec, back);
     EXPECT_TRUE(diff.empty());
+}
+
+TEST(RunRecord, NonFiniteNumbersSurviveTheFile)
+{
+    // JSON spells infinities and NaN null; they read back as NaN and
+    // diff as unchanged against any other non-finite value.
+    report::RunRecord rec = smallTrainingRecord();
+    rec.counters["probe/inf"] = std::numeric_limits<double>::infinity();
+    rec.metrics.emplace_back("probe/nan",
+                             std::numeric_limits<double>::quiet_NaN());
+    const std::string path =
+        ::testing::TempDir() + "optimus_nonfinite_run.json";
+    report::writeRunRecord(path, rec);
+    report::RunRecord back = report::loadRunRecord(path);
+    std::remove(path.c_str());
+
+    EXPECT_TRUE(std::isnan(back.counters.at("probe/inf")));
+    EXPECT_EQ(report::checkExitCode(report::diffRuns(back, back)), 0);
+    report::RunDiff diff = report::diffRuns(rec, back);
+    EXPECT_TRUE(diff.empty());
+    EXPECT_EQ(report::checkExitCode(diff), 0);
 }
 
 TEST(RunDiff, SelfDiffIsEmptyAndClean)

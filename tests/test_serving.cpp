@@ -103,8 +103,8 @@ TEST(Serving, CostPerTokenDecreasesWithBatch)
     ServingOptions opts = chatOptions(1);
     ServingPoint b1 = evaluateServingPoint(cfg, sys, opts, 1);
     ServingPoint b32 = evaluateServingPoint(cfg, sys, opts, 32);
-    double c1 = costPerMillionTokens(sys, opts, b1);
-    double c32 = costPerMillionTokens(sys, opts, b32);
+    double c1 = costPerMillionTokens(opts, b1);
+    double c32 = costPerMillionTokens(opts, b32);
     EXPECT_LT(c32, c1 / 8.0);
     // Sanity: single-digit dollars per Mtok at high batch,
     // double/triple digits unbatched.
@@ -120,7 +120,7 @@ TEST(Serving, RejectsBadInputs)
                                       0),
                  ConfigError);
     ServingPoint empty;
-    EXPECT_THROW(costPerMillionTokens(sys, opts, empty), ConfigError);
+    EXPECT_THROW(costPerMillionTokens(opts, empty), ConfigError);
 }
 
 TEST(Serving, DecodeStepIsTheInferenceDecodeStep)

@@ -15,8 +15,9 @@
  * member present in the file overrides the matching flags. Every
  * command that evaluates one training or inference run resolves it
  * through resolveRun; serve (flags override its config), memory (no
- * system) and dse (its own defaults) do not. Add --json to emit the
- * report as JSON instead of text.
+ * system: it lints on one shaped to hold the mapping) and dse (its
+ * own defaults) do not. Add --json to emit the report as JSON instead
+ * of text.
  *
  * Examples:
  *   optimus_cli train --model gpt-175b --system dgx-a100 --nodes 8 \
@@ -25,6 +26,7 @@
  *   optimus_cli memory --model gpt-530b --tp 8 --pp 35 --batch 280
  */
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -355,7 +357,7 @@ cmdServe(const Args &args)
             .cell(pt.interTokenLatency * 1e3, 2)
             .cell(pt.timeToFirstToken * 1e3, 1)
             .cell(pt.fits ? "yes" : "NO")
-            .cell(costPerMillionTokens(sys, opts, pt, cost), 2);
+            .cell(costPerMillionTokens(opts, pt, cost), 2);
         out.endRow();
         // The best fitting batch: the largest throughput before the
         // first batch that overflows device memory.
@@ -447,16 +449,23 @@ cmdMemory(const Args &args)
     TransformerConfig model = resolveModel(args, cfg);
     ParallelConfig par = resolveParallel(args, cfg);
     long long batch = args.getInt("batch", 64);
-    long long seq = args.getInt("seq", 2048);
+    TrainingOptions opts;
+    opts.seqLength = args.getInt("seq", 2048);
+    opts.memory.zeroStage = static_cast<int>(args.getInt("zero", 0));
+
+    // Gate on a system shaped to the mapping: a TP group per node.
+    System shape = config::systemPreset("dgx-a100", 1);
+    shape.devicesPerNode = int(std::max(1LL, par.tensorParallel));
+    shape.numNodes =
+        int(std::max(1LL, par.totalDevices() / shape.devicesPerNode));
+    lint::enforce(lint::lintTrainingGate(model, shape, par, batch, opts));
 
     Table out({"Recompute", "Weights", "Grads", "Optimizer",
                "Activations", "Total (GiB)"});
     for (Recompute r : {Recompute::None, Recompute::Selective,
                         Recompute::Full}) {
-        MemoryOptions mopts;
-        mopts.zeroStage = static_cast<int>(args.getInt("zero", 0));
-        TrainingMemory mem =
-            trainingMemoryPerDevice(model, par, batch, seq, r, mopts);
+        TrainingMemory mem = trainingMemoryPerDevice(
+            model, par, batch, opts.seqLength, r, opts.memory);
         out.beginRow()
             .cell(recomputeName(r))
             .cell(mem.weights / GiB, 2)
@@ -467,7 +476,8 @@ cmdMemory(const Args &args)
         out.endRow();
     }
     std::cout << model.name << ", " << par.label() << ", batch "
-              << batch << ", seq " << seq << " (GiB per device)\n\n";
+              << batch << ", seq " << opts.seqLength
+              << " (GiB per device)\n\n";
     out.print(std::cout);
     return 0;
 }
@@ -712,12 +722,6 @@ resolveDseSetup(const Args &args, const std::string &mode)
                            : 1);
         par.sequenceParallel = par.tensorParallel > 1;
         long long batch = args.getInt("batch", 512);
-        // The mapping lint reads only the node shape, not the probed
-        // device, so a bad mapping is reported before any probe runs.
-        System shape;
-        shape.devicesPerNode = gpus;
-        shape.numNodes = nodes;
-        lint::enforce(lint::lintMapping(model, shape, par, batch));
         TrainingOptions topts;
         topts.recompute = Recompute::Selective;
         topts.seqLength = args.getInt("seq", 2048);
