@@ -60,8 +60,6 @@ main()
             TrainingOptions opts;
             opts.precision = prec;
             opts.recompute = Recompute::Selective;
-            opts.memory.activationBytes =
-                std::max(1.0, precisionBytes(prec));
             return evaluateTraining(models::gpt175b(), sys, par, 64,
                                     opts)
                 .timePerBatch;

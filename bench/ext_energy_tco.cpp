@@ -60,8 +60,6 @@ main()
         TrainingOptions opts;
         opts.precision = row.precision;
         opts.recompute = Recompute::Selective;
-        opts.memory.activationBytes =
-            std::max(1.0, precisionBytes(row.precision));
 
         TrainingReport rep = evaluateTraining(models::gpt175b(),
                                               row.sys, par, batch,

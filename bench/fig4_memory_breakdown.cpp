@@ -52,7 +52,7 @@ main()
             par.sequenceParallel = c.sp;
 
             TrainingMemory mem = trainingMemoryPerDevice(
-                c.model, par, c.batch, 2048, r);
+                c.model, par, c.batch, {.recompute = r});
 
             out.beginRow()
                 .cell(c.model.name)

@@ -80,8 +80,6 @@ main()
             TrainingOptions opts;
             opts.precision = c.precision;
             opts.recompute = Recompute::Selective;
-            opts.memory.activationBytes =
-                std::max(1.0, precisionBytes(c.precision));
 
             TrainingReport rep = evaluateTraining(
                 models::gpt175b(), c.sys, par, c.batch, opts);

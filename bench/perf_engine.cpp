@@ -76,7 +76,8 @@ BM_MemoryFootprint(benchmark::State &state)
     par.pipelineParallel = 8;
     for (auto _ : state) {
         benchmark::DoNotOptimize(trainingMemoryPerDevice(
-            models::gpt175b(), par, 64, 2048, Recompute::Selective));
+            models::gpt175b(), par, 64,
+            {.recompute = Recompute::Selective}));
     }
 }
 BENCHMARK(BM_MemoryFootprint);

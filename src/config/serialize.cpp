@@ -67,27 +67,14 @@ systemRegistry()
     return reg;
 }
 
-Recompute
-recomputeFromName(const std::string &name)
-{
-    if (name == "none")
-        return Recompute::None;
-    if (name == "selective")
-        return Recompute::Selective;
-    if (name == "full")
-        return Recompute::Full;
-    throw ConfigError("unknown recompute strategy: " + name);
-}
-
 PipelineSchedule
 scheduleFromName(const std::string &name)
 {
-    if (name == "gpipe")
-        return PipelineSchedule::GPipe;
-    if (name == "1f1b")
-        return PipelineSchedule::OneFOneB;
-    if (name == "interleaved")
-        return PipelineSchedule::Interleaved1F1B;
+    for (PipelineSchedule s :
+         {PipelineSchedule::GPipe, PipelineSchedule::OneFOneB,
+          PipelineSchedule::Interleaved1F1B})
+        if (name == scheduleName(s))
+            return s;
     throw ConfigError("unknown pipeline schedule: " + name);
 }
 
@@ -289,8 +276,6 @@ toJson(const TrainingOptions &opts)
           JsonValue::number(opts.tpOverlapFraction));
     j.set("flashAttention", JsonValue::boolean(opts.flashAttention));
     j.set("zeroStage", JsonValue::number(double(opts.memory.zeroStage)));
-    j.set("activationBytes",
-          JsonValue::number(opts.memory.activationBytes));
     return j;
 }
 
@@ -559,8 +544,7 @@ trainingOptionsFromJson(const JsonValue &j)
     if (j.has("precision"))
         opts.precision = parsePrecision(j.at("precision").asString());
     if (j.has("recompute"))
-        opts.recompute =
-            recomputeFromName(j.at("recompute").asString());
+        opts.recompute = parseRecompute(j.at("recompute").asString());
     opts.seqLength = j.getInt("seqLength", opts.seqLength);
     opts.dpOverlapFraction =
         j.getNumber("dpOverlapFraction", opts.dpOverlapFraction);
@@ -570,11 +554,6 @@ trainingOptionsFromJson(const JsonValue &j)
         j.getBool("flashAttention", opts.flashAttention);
     opts.memory.zeroStage = static_cast<int>(
         j.getInt("zeroStage", opts.memory.zeroStage));
-    opts.memory.flashAttention = opts.flashAttention;
-    opts.memory.activationBytes = j.getNumber(
-        "activationBytes", precisionBytes(opts.precision) < 2.0
-                               ? 1.0
-                               : opts.memory.activationBytes);
     return opts;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <sstream>
 #include <utility>
 
 #include "memory/footprint.h"
@@ -166,6 +167,8 @@ ruleCatalog()
          "ZeRO stage must be 0, 1, 2 or 3"},
         {kRuleContextParallelFlash, Severity::Error,
          "context parallelism (ring attention) requires flash attention"},
+        {kRuleOverlapFraction, Severity::Error,
+         "communication overlap fraction must lie in [0, 1]"},
     };
     return catalog;
 }
@@ -508,6 +511,15 @@ lintTrainingOptions(const TransformerConfig &cfg, const System &sys,
         report.error(kRuleZeroStage,
                      "ZeRO stage must be 0, 1, 2 or 3, got " +
                          str(opts.memory.zeroStage));
+    for (const auto &[name, fraction] :
+         {std::pair{"tpOverlapFraction", opts.tpOverlapFraction},
+          std::pair{"dpOverlapFraction", opts.dpOverlapFraction}}) {
+        if (!(fraction >= 0.0 && fraction <= 1.0)) {  // NaN too
+            std::ostringstream msg;
+            msg << name << " must lie in [0, 1], got " << fraction;
+            report.error(kRuleOverlapFraction, msg.str());
+        }
+    }
     return report;
 }
 
@@ -535,9 +547,8 @@ lintTraining(const TransformerConfig &cfg, const System &sys,
 
     // An illegal shard has no well-defined per-device memory.
     if (!report.hasErrors()) {
-        const TrainingMemory mem = trainingMemoryPerDevice(
-            cfg, par, global_batch, opts.seqLength, opts.recompute,
-            opts.memory);
+        const TrainingMemory mem =
+            trainingMemoryPerDevice(cfg, par, global_batch, opts);
         const double capacity = sys.device.dram().capacity;
         if (mem.total() > capacity)
             report.error(

@@ -122,6 +122,7 @@ inline constexpr char kRuleMappingPositive[] = "OPT-CFG-020";
 inline constexpr char kRuleSeqVsContextParallel[] = "OPT-PAR-021";
 inline constexpr char kRuleZeroStage[] = "OPT-MEM-022";
 inline constexpr char kRuleContextParallelFlash[] = "OPT-PAR-023";
+inline constexpr char kRuleOverlapFraction[] = "OPT-CFG-024";
 
 // ---- Lint passes -------------------------------------------------------
 
@@ -147,7 +148,8 @@ LintReport lintMapping(const TransformerConfig &cfg, const System &sys,
 /**
  * Training option rules: precision support, sequence length (positive,
  * in the model's window, divisible by CP), CP needs flash attention,
- * ZeRO stage 0-3. Assumes @p cfg and @p sys are structurally valid.
+ * ZeRO stage 0-3, overlap fractions in [0, 1]. Assumes @p cfg and
+ * @p sys are structurally valid.
  */
 LintReport lintTrainingOptions(const TransformerConfig &cfg,
                                const System &sys,

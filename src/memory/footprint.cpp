@@ -1,6 +1,8 @@
 #include "memory/footprint.h"
 
 #include "parallel/pipeline.h"
+#include "training/trainer.h"
+#include "workload/activation.h"
 
 namespace optimus {
 
@@ -31,25 +33,22 @@ parametersPerDevice(const TransformerConfig &cfg,
 TrainingMemory
 trainingMemoryPerDevice(const TransformerConfig &cfg,
                         const ParallelConfig &par,
-                        long long global_batch, long long seq,
-                        Recompute recompute, const MemoryOptions &opts)
+                        long long global_batch, const TrainingOptions &opts)
 {
     TrainingMemory mem;
     double params = parametersPerDevice(cfg, par);
     double dp = double(par.dataParallel);
-    mem.weights = params * opts.weightBytes /
-                  (opts.zeroStage >= 3 ? dp : 1.0);
-    mem.gradients = params * opts.gradientBytes /
-                    (opts.zeroStage >= 2 ? dp : 1.0);
-    mem.optimizer = params * opts.optimizerBytesPerParam /
-                    (opts.zeroStage >= 1 ? dp : 1.0);
+    const int zero = opts.memory.zeroStage;
+    mem.weights = params * kWeightBytes / (zero >= 3 ? dp : 1.0);
+    mem.gradients = params * kGradientBytes / (zero >= 2 ? dp : 1.0);
+    mem.optimizer = params * kOptimizerBytesPerParam / (zero >= 1 ? dp : 1.0);
 
     ActivationParams ap;
     ap.microbatch = par.microbatchSize;
-    ap.seq = seq / par.contextParallel;
+    ap.seq = opts.seqLength / par.contextParallel;
     ap.tensorParallel = par.tensorParallel;
     ap.sequenceParallel = par.sequenceParallel;
-    ap.activationBytes = opts.activationBytes;
+    ap.activationBytes = activationBytes(opts.precision);
     ap.flashAttention = opts.flashAttention;
 
     long long layers_local = cfg.numLayers / par.pipelineParallel;
@@ -57,7 +56,7 @@ trainingMemoryPerDevice(const TransformerConfig &cfg,
     PipelineCost pc = pipelineCost(par.schedule, par.pipelineParallel,
                                    m, par.interleavedStages);
 
-    if (recompute == Recompute::Full) {
+    if (opts.recompute == Recompute::Full) {
         // Every in-flight microbatch keeps only its checkpoints; the
         // working set of Eq. 1's second term exists once, for the
         // microbatch currently running backward.
@@ -68,7 +67,7 @@ trainingMemoryPerDevice(const TransformerConfig &cfg,
         mem.activations = checkpoints + working;
     } else {
         double per_microbatch =
-            activationMemory(cfg, ap, layers_local, recompute);
+            activationMemory(cfg, ap, layers_local, opts.recompute);
         mem.activations = per_microbatch * pc.inflightMicrobatches;
     }
     return mem;

@@ -9,20 +9,20 @@
 #define OPTIMUS_MEMORY_FOOTPRINT_H
 
 #include "parallel/config.h"
-#include "workload/activation.h"
 #include "workload/model_config.h"
 
 namespace optimus {
 
-/** Byte costs per parameter for mixed-precision Adam training. */
+struct TrainingOptions;
+
+/** Byte costs per parameter of mixed-precision Adam training. */
+inline constexpr double kWeightBytes = 2.0;    ///< fp16/bf16 weights
+inline constexpr double kGradientBytes = 2.0;  ///< fp16 gradients
+/** fp32 master copy + momentum + variance. */
+inline constexpr double kOptimizerBytesPerParam = 12.0;
+
 struct MemoryOptions
 {
-    double weightBytes = 2.0;     ///< fp16/bf16 working weights
-    double gradientBytes = 2.0;   ///< fp16 gradients
-    /** fp32 master copy + momentum + variance. */
-    double optimizerBytesPerParam = 12.0;
-    double activationBytes = 2.0;
-
     /**
      * ZeRO-style sharding over the data-parallel group (Megatron's
      * distributed optimizer is stage 1): stage 1 shards optimizer
@@ -30,9 +30,6 @@ struct MemoryOptions
      * (which then must be all-gathered around each use).
      */
     int zeroStage = 0;
-
-    /** Use FlashAttention's activation accounting. */
-    bool flashAttention = false;
 };
 
 /** Per-device training memory breakdown, bytes. */
@@ -52,15 +49,13 @@ double parametersPerDevice(const TransformerConfig &cfg,
 
 /**
  * Memory footprint of the worst device for training @p cfg with
- * global batch @p global_batch and sequence length @p seq (input:
+ * global batch @p global_batch under @p opts (input:
  * lint::lintTrainingGate).
  */
 TrainingMemory trainingMemoryPerDevice(const TransformerConfig &cfg,
                                        const ParallelConfig &par,
                                        long long global_batch,
-                                       long long seq,
-                                       Recompute recompute,
-                                       const MemoryOptions &opts = {});
+                                       const TrainingOptions &opts);
 
 } // namespace optimus
 

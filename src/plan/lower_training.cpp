@@ -31,7 +31,6 @@ lowerTrainingCompute(const TransformerConfig &cfg, const ParallelConfig &par,
                      const TrainingOptions &opts)
 {
     const long long tp = par.tensorParallel;
-    const double act_bytes = opts.memory.activationBytes;
     std::vector<PlanStep> steps;
 
     LayerGraphParams gp;
@@ -53,7 +52,6 @@ lowerTrainingCompute(const TransformerConfig &cfg, const ParallelConfig &par,
     ap.seq = opts.seqLength;
     ap.tensorParallel = tp;
     ap.sequenceParallel = par.sequenceParallel;
-    ap.activationBytes = act_bytes;
     ap.flashAttention = opts.flashAttention;
     const double recompute_frac =
         recomputeForwardFraction(cfg, ap, opts.recompute);
@@ -102,8 +100,8 @@ lowerTrainingCompute(const TransformerConfig &cfg, const ParallelConfig &par,
         Op embed;
         embed.name = "embedding";
         embed.kind = OpKind::Stream;
-        embed.streamBytes =
-            2.0 * double(mb_tokens) * cfg.hiddenSize * act_bytes;
+        embed.streamBytes = 2.0 * double(mb_tokens) * cfg.hiddenSize *
+                            activationBytes(opts.precision);
         embed.streamFlops = 0.0;
         embed.streamPrecision = opts.precision;
 
@@ -134,7 +132,7 @@ lowerTrainingMapping(const TransformerConfig &cfg, const System &sys,
     const long long pp = par.pipelineParallel;
     const long long layers_local = cfg.numLayers / pp;
     const long long m = par.microbatches(global_batch);
-    const double act_bytes = opts.memory.activationBytes;
+    const double act_bytes = activationBytes(opts.precision);
 
     kp.phase = "training";
     // The critical (worst) pipeline stage — the one whose per-device
@@ -296,8 +294,7 @@ lowerTrainingMapping(const TransformerConfig &cfg, const System &sys,
         s.category = "dp-comm";
         s.phase = "train";
         s.collective = CollectiveKind::AllReduce;
-        s.volume =
-            parametersPerDevice(cfg, par) * opts.memory.gradientBytes;
+        s.volume = parametersPerDevice(cfg, par) * kGradientBytes;
         s.groupSize = par.dataParallel;
         s.scope = dp_scope;
         s.algorithm = opts.collectiveAlgorithm;
@@ -313,8 +310,7 @@ lowerTrainingMapping(const TransformerConfig &cfg, const System &sys,
             g.phase = "train";
             g.repeatMicrobatch = 2;  // around forward and backward
             g.collective = CollectiveKind::AllGather;
-            g.volume =
-                parametersPerDevice(cfg, par) * opts.memory.weightBytes;
+            g.volume = parametersPerDevice(cfg, par) * kWeightBytes;
             g.groupSize = par.dataParallel;
             g.scope = dp_scope;
             g.algorithm = opts.collectiveAlgorithm;
@@ -337,7 +333,9 @@ lowerTrainingMapping(const TransformerConfig &cfg, const System &sys,
         s.category = "optimizer";
         s.phase = "train";
         s.synthetic = SyntheticKind::Optimizer;
-        s.syntheticValue = params * (3.0 * 4.0 + 2.0 + 3.0 * 4.0 + 2.0);
+        s.syntheticValue =
+            params * (kOptimizerBytesPerParam + kGradientBytes +
+                      kOptimizerBytesPerParam + kWeightBytes);
         kp.steps.push_back(std::move(s));
     }
 }

@@ -71,8 +71,7 @@ runTraining(const TransformerConfig &cfg, const System &sys,
     FoldedTraining f = foldTraining(run.plan, opts.trace);
     run.report = trainingReport(
         run.plan, std::move(f), sys, opts.precision,
-        trainingMemoryPerDevice(cfg, par, global_batch, opts.seqLength,
-                                opts.recompute, opts.memory),
+        trainingMemoryPerDevice(cfg, par, global_batch, opts),
         modelFlopsPerBatch(cfg, global_batch, opts.seqLength,
                            opts.precision));
     if (opts.trace != nullptr) {

@@ -27,13 +27,9 @@ planTraining(const TransformerConfig &model, const System &sys,
     const bool tron = tr != nullptr;
 
     // The loop-invariant option fields, built once.
-    TrainingOptions base;
-    base.precision = opts.precision;
-    base.seqLength = opts.seqLength;
-    base.flashAttention = opts.flashAttention;
-    base.memory.flashAttention = opts.flashAttention;
-    base.memory.activationBytes =
-        std::max(1.0, precisionBytes(opts.precision));
+    const TrainingOptions base{.precision = opts.precision,
+                               .seqLength = opts.seqLength,
+                               .flashAttention = opts.flashAttention};
 
     // The gate: model, system, then the options at each ZeRO stage (no
     // candidate sets CP); isLegalMapping filters each mapping.
@@ -122,8 +118,7 @@ planTraining(const TransformerConfig &model, const System &sys,
 
                             TrainingMemory mem =
                                 trainingMemoryPerDevice(
-                                    model, par, global_batch,
-                                    opts.seqLength, r, topts.memory);
+                                    model, par, global_batch, topts);
                             if (mem.total() >
                                 sys.device.dram().capacity) {
                                 if (tron)

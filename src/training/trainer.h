@@ -41,7 +41,7 @@ struct TrainingOptions
     double tpOverlapFraction = 0.0;
     /** IO-aware fused attention kernels (paper's [6,7]). */
     bool flashAttention = false;
-    MemoryOptions memory;
+    MemoryOptions memory = {};  ///< ZeRO stage
 
     /**
      * Optional trace sink (trace/trace.h). When set to an enabled

@@ -1,5 +1,6 @@
 #include "workload/activation.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.h"
@@ -16,6 +17,22 @@ recomputeName(Recompute r)
       case Recompute::Full: return "full";
     }
     throw ModelError("unknown recompute strategy");
+}
+
+Recompute
+parseRecompute(const std::string &name)
+{
+    for (Recompute r :
+         {Recompute::None, Recompute::Selective, Recompute::Full})
+        if (name == recomputeName(r))
+            return r;
+    throw ConfigError("unknown recompute strategy: " + name);
+}
+
+double
+activationBytes(Precision p)
+{
+    return std::max(1.0, precisionBytes(p));
 }
 
 double

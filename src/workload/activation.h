@@ -15,6 +15,7 @@
 #ifndef OPTIMUS_WORKLOAD_ACTIVATION_H
 #define OPTIMUS_WORKLOAD_ACTIVATION_H
 
+#include "hw/precision.h"
 #include "workload/model_config.h"
 
 namespace optimus {
@@ -29,6 +30,9 @@ enum class Recompute {
 /** Human-readable name ("none", "selective", "full"). */
 const char *recomputeName(Recompute r);
 
+/** Inverse of recomputeName; throws ConfigError on any other name. */
+Recompute parseRecompute(const std::string &name);
+
 /** Inputs to the activation accounting. */
 struct ActivationParams
 {
@@ -36,7 +40,7 @@ struct ActivationParams
     long long seq = 2048;
     long long tensorParallel = 1;
     bool sequenceParallel = false;
-    double activationBytes = 2.0;  ///< fp16 mixed-precision training
+    double activationBytes = 2.0;  ///< activationBytes(precision)
 
     /**
      * Fused IO-aware attention: the s x s score region is never
@@ -45,6 +49,9 @@ struct ActivationParams
      */
     bool flashAttention = false;
 };
+
+/** Bytes per activation element at @p p: max(1, precisionBytes(p)). */
+double activationBytes(Precision p);
 
 /**
  * Component breakdown of one layer's stored activations on one

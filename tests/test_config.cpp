@@ -137,7 +137,7 @@ TEST(Deserialize, OptionsFromJson)
     EXPECT_EQ(t.seqLength, 4096);
     EXPECT_TRUE(t.flashAttention);
     EXPECT_EQ(t.memory.zeroStage, 2);
-    EXPECT_DOUBLE_EQ(t.memory.activationBytes, 1.0);
+    EXPECT_DOUBLE_EQ(activationBytes(t.precision), 1.0);
 
     InferenceOptions i = config::inferenceOptionsFromJson(
         JsonValue::parse(R"({"tensorParallel": 4, "batch": 16,

@@ -116,7 +116,6 @@ TEST(ContextParallel, EnablesLongContextTraining)
     opts.seqLength = 32768;
     opts.recompute = Recompute::Selective;
     opts.flashAttention = true;
-    opts.memory.flashAttention = true;
 
     TrainingReport rep = evaluateTraining(cfg, sys, cp8, 16, opts);
     EXPECT_GT(rep.time.cpComm, 0.0);
@@ -126,8 +125,7 @@ TEST(ContextParallel, EnablesLongContextTraining)
     ParallelConfig no_cp = cp8;
     no_cp.contextParallel = 1;
     no_cp.dataParallel = 16;
-    TrainingMemory mem = trainingMemoryPerDevice(
-        cfg, no_cp, 16, 32768, Recompute::Selective, opts.memory);
+    TrainingMemory mem = trainingMemoryPerDevice(cfg, no_cp, 16, opts);
     EXPECT_GT(mem.total(), 80 * GiB);
 }
 

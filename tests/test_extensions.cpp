@@ -84,7 +84,6 @@ TEST(FlashAttention, SpeedsUpLongSequences)
     base.recompute = Recompute::None;
     TrainingOptions flash = base;
     flash.flashAttention = true;
-    flash.memory.flashAttention = true;
 
     TrainingReport slow = evaluateTraining(cfg, sys, par, 32, base);
     TrainingReport fast = evaluateTraining(cfg, sys, par, 32, flash);
@@ -145,15 +144,12 @@ TEST(Zero, Stage1ShardsOptimizerStates)
     par.tensorParallel = 8;
     par.pipelineParallel = 2;
 
-    MemoryOptions plain;
-    MemoryOptions z1;
-    z1.zeroStage = 1;
-    TrainingMemory a = trainingMemoryPerDevice(cfg, par, 64, 2048,
-                                               Recompute::Selective,
-                                               plain);
-    TrainingMemory b = trainingMemoryPerDevice(cfg, par, 64, 2048,
-                                               Recompute::Selective,
-                                               z1);
+    TrainingOptions plain;
+    plain.recompute = Recompute::Selective;
+    TrainingOptions z1 = plain;
+    z1.memory.zeroStage = 1;
+    TrainingMemory a = trainingMemoryPerDevice(cfg, par, 64, plain);
+    TrainingMemory b = trainingMemoryPerDevice(cfg, par, 64, z1);
     EXPECT_NEAR(b.optimizer, a.optimizer / 8.0, 1.0);
     EXPECT_DOUBLE_EQ(b.weights, a.weights);
     EXPECT_DOUBLE_EQ(b.gradients, a.gradients);
@@ -168,12 +164,11 @@ TEST(Zero, StagesShardProgressively)
     par.pipelineParallel = 2;
     double prev = 1e30;
     for (int stage : {0, 1, 2, 3}) {
-        MemoryOptions opts;
-        opts.zeroStage = stage;
-        double total = trainingMemoryPerDevice(cfg, par, 64, 2048,
-                                               Recompute::Selective,
-                                               opts)
-                           .total();
+        TrainingOptions opts;
+        opts.recompute = Recompute::Selective;
+        opts.memory.zeroStage = stage;
+        double total =
+            trainingMemoryPerDevice(cfg, par, 64, opts).total();
         EXPECT_LT(total, prev);
         prev = total;
     }
@@ -234,15 +229,11 @@ TEST(Zero, EnablesOtherwiseOverflowingConfig)
     par.tensorParallel = 8;
     par.pipelineParallel = 4;
 
-    MemoryOptions plain;
-    MemoryOptions z2;
-    z2.zeroStage = 2;
-    double before = trainingMemoryPerDevice(cfg, par, 64, 2048,
-                                            Recompute::Full, plain)
-                        .total();
-    double after = trainingMemoryPerDevice(cfg, par, 64, 2048,
-                                           Recompute::Full, z2)
-                       .total();
+    TrainingOptions plain;
+    TrainingOptions z2;
+    z2.memory.zeroStage = 2;
+    double before = trainingMemoryPerDevice(cfg, par, 64, plain).total();
+    double after = trainingMemoryPerDevice(cfg, par, 64, z2).total();
     EXPECT_GT(before, 80 * GiB);
     EXPECT_LT(after, 80 * GiB);
 }

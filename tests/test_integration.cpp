@@ -29,8 +29,6 @@ TEST(Integration, EverythingOnGpt175b)
     opts.precision = Precision::FP8;
     opts.recompute = Recompute::Selective;
     opts.flashAttention = true;
-    opts.memory.flashAttention = true;
-    opts.memory.activationBytes = 1.0;
     opts.memory.zeroStage = 1;
     opts.dpOverlapFraction = 0.8;
 
@@ -82,7 +80,6 @@ TEST(Integration, MoeWithFullStack)
     TrainingOptions opts;
     opts.recompute = Recompute::Selective;
     opts.flashAttention = true;
-    opts.memory.flashAttention = true;
 
     TrainingReport rep = evaluateTraining(
         models::mixtral8x7b(), presets::dgxA100(8), par, 128, opts);
@@ -196,8 +193,6 @@ TEST(Integration, CompositePrecisionSweep)
          {Precision::FP16, Precision::FP8, Precision::FP4}) {
         TrainingOptions opts;
         opts.precision = prec;
-        opts.memory.activationBytes =
-            std::max(1.0, precisionBytes(prec));
         double t = evaluateTraining(models::gpt175b(), sys, par, 64,
                                     opts)
                        .timePerBatch;

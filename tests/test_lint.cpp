@@ -120,9 +120,9 @@ TEST(LintCatalog, EveryRuleIdIsCataloguedOnce)
           lint::kRuleKvPrecision, lint::kRuleModelStructure,
           lint::kRuleSystemStructure, lint::kRuleMappingPositive,
           lint::kRuleSeqVsContextParallel, lint::kRuleZeroStage,
-          lint::kRuleContextParallelFlash})
+          lint::kRuleContextParallelFlash, lint::kRuleOverlapFraction})
         EXPECT_TRUE(ids.count(id)) << id << " missing from catalog";
-    EXPECT_EQ(ids.size(), 23u);
+    EXPECT_EQ(ids.size(), 24u);
 }
 
 // ---- Mapping rules (positive / negative per ID) ------------------------
@@ -370,6 +370,28 @@ TEST(LintTraining, Par021SequenceMustDivideByContextParallel)
     LintReport ok = lint::lintTraining(models::gpt7b(), oneNode(), par,
                                        64, opts);
     EXPECT_FALSE(ok.has(lint::kRuleSeqVsContextParallel));
+}
+
+TEST(LintTraining, Cfg024OverlapFractionsLieInZeroOne)
+{
+    TrainingOptions opts;
+    opts.tpOverlapFraction = 3.0;
+    opts.dpOverlapFraction = -0.5;
+    LintReport r = lint::lintTraining(models::gpt7b(), oneNode(),
+                                      cleanMapping(), 64, opts);
+    EXPECT_EQ(r.errorCount(), 2u);  // one per fraction, nothing else
+    EXPECT_TRUE(r.has(lint::kRuleOverlapFraction));
+
+    opts.tpOverlapFraction = std::nan("");
+    opts.dpOverlapFraction = 1.0;
+    EXPECT_TRUE(lint::lintTraining(models::gpt7b(), oneNode(),
+                                   cleanMapping(), 64, opts)
+                    .has(lint::kRuleOverlapFraction));
+
+    opts.tpOverlapFraction = 0.0;
+    LintReport ok = lint::lintTraining(models::gpt7b(), oneNode(),
+                                       cleanMapping(), 64, opts);
+    EXPECT_FALSE(ok.has(lint::kRuleOverlapFraction));
 }
 
 // ---- Inference rules ---------------------------------------------------

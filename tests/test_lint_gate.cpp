@@ -150,6 +150,7 @@ gateCases()
     const ParallelConfig tp3 = mapping(1, 3, 1);
     const ParallelConfig dp8 = mapping(8, 1, 1);
     const TrainingOptions fp8 = withPrecision(Precision::FP8);
+    const TrainingOptions overlap3 = {.tpOverlapFraction = 3.0};
     InferenceOptions batch0 = servingInference(serveAt(1));
     batch0.batch = 0;
 
@@ -169,6 +170,9 @@ gateCases()
         {"evaluateTraining: ZeRO 5", lint::kRuleZeroStage,
          [=] { return lint::lintTraining(gpt7b, node, dp8, 64, withZero(5)); },
          [=] { evaluateTraining(gpt7b, node, dp8, 64, withZero(5)); }},
+        {"evaluateTraining: TP overlap 3", lint::kRuleOverlapFraction,
+         [=] { return lint::lintTraining(gpt7b, node, dp8, 64, overlap3); },
+         [=] { evaluateTraining(gpt7b, node, dp8, 64, overlap3); }},
         {"evaluateTraining: CP without flash attention",
          lint::kRuleContextParallelFlash,
          [=] { return lint::lintTraining(gpt7b, node, cp4, 8); },
@@ -261,8 +265,7 @@ TEST(LintGate, MemoryFitIsReportedNotEnforced)
     opts.recompute = Recompute::Selective;
     EXPECT_FALSE(lint::lintTraining(models::gpt175b(), sys, sp, 64, opts)
                      .hasErrors());
-    EXPECT_LE(trainingMemoryPerDevice(models::gpt175b(), sp, 64, 2048,
-                                      Recompute::Selective)
+    EXPECT_LE(trainingMemoryPerDevice(models::gpt175b(), sp, 64, opts)
                   .total(),
               80 * GiB);
 }

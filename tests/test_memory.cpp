@@ -101,7 +101,7 @@ TEST(Footprint, MixedPrecisionAdamBytes)
     par.tensorParallel = 8;
     par.pipelineParallel = 8;
     TrainingMemory mem = trainingMemoryPerDevice(
-        cfg, par, 64, 2048, Recompute::Full);
+        cfg, par, 64, {.recompute = Recompute::Full});
     double params = parametersPerDevice(cfg, par);
     EXPECT_DOUBLE_EQ(mem.weights, params * 2.0);
     EXPECT_DOUBLE_EQ(mem.gradients, params * 2.0);
@@ -118,15 +118,12 @@ TEST(Footprint, RecomputationOrdering)
     par.tensorParallel = 8;
     par.pipelineParallel = 8;
     par.sequenceParallel = true;
-    double none = trainingMemoryPerDevice(cfg, par, 64, 2048,
-                                          Recompute::None)
-                      .activations;
-    double sel = trainingMemoryPerDevice(cfg, par, 64, 2048,
-                                         Recompute::Selective)
-                     .activations;
-    double full = trainingMemoryPerDevice(cfg, par, 64, 2048,
-                                          Recompute::Full)
-                      .activations;
+    double none = trainingMemoryPerDevice(
+        cfg, par, 64, {.recompute = Recompute::None}).activations;
+    double sel = trainingMemoryPerDevice(
+        cfg, par, 64, {.recompute = Recompute::Selective}).activations;
+    double full = trainingMemoryPerDevice(
+        cfg, par, 64, {.recompute = Recompute::Full}).activations;
     EXPECT_GT(none, sel);
     EXPECT_GT(sel, full);
 }
@@ -141,15 +138,13 @@ TEST(Footprint, FullRecomputeStoresOnlyCheckpointsPerMicrobatch)
     ParallelConfig par;
     par.tensorParallel = 8;
     par.pipelineParallel = 64;
-    double act = trainingMemoryPerDevice(cfg, par, 512, 2048,
-                                         Recompute::Full)
-                     .activations;
+    double act = trainingMemoryPerDevice(
+        cfg, par, 512, {.recompute = Recompute::Full}).activations;
     // 64 in-flight checkpoints of 2 layers each plus one working
     // set: far below the no-recompute footprint (the checkpoint term
     // itself is sizable at PP=64).
-    double none = trainingMemoryPerDevice(cfg, par, 512, 2048,
-                                          Recompute::None)
-                      .activations;
+    double none = trainingMemoryPerDevice(
+        cfg, par, 512, {.recompute = Recompute::None}).activations;
     EXPECT_LT(act, none / 5.0);
 }
 
@@ -162,12 +157,10 @@ TEST(Footprint, GPipeHoldsMoreActivations)
     f1b.schedule = PipelineSchedule::OneFOneB;
     ParallelConfig gpipe = f1b;
     gpipe.schedule = PipelineSchedule::GPipe;
-    double a = trainingMemoryPerDevice(cfg, f1b, 64, 2048,
-                                       Recompute::Selective)
-                   .activations;
-    double b = trainingMemoryPerDevice(cfg, gpipe, 64, 2048,
-                                       Recompute::Selective)
-                   .activations;
+    double a = trainingMemoryPerDevice(
+        cfg, f1b, 64, {.recompute = Recompute::Selective}).activations;
+    double b = trainingMemoryPerDevice(
+        cfg, gpipe, 64, {.recompute = Recompute::Selective}).activations;
     EXPECT_GT(b, a);  // 64 microbatches in flight vs 8
 }
 
@@ -178,10 +171,10 @@ TEST(Footprint, SequenceParallelOnlyShrinksActivations)
     par.tensorParallel = 8;
     par.pipelineParallel = 8;
     TrainingMemory no_sp = trainingMemoryPerDevice(
-        cfg, par, 64, 2048, Recompute::Selective);
+        cfg, par, 64, {.recompute = Recompute::Selective});
     par.sequenceParallel = true;
     TrainingMemory sp = trainingMemoryPerDevice(
-        cfg, par, 64, 2048, Recompute::Selective);
+        cfg, par, 64, {.recompute = Recompute::Selective});
     EXPECT_LT(sp.activations, no_sp.activations);
     EXPECT_DOUBLE_EQ(sp.weights, no_sp.weights);
     EXPECT_DOUBLE_EQ(sp.optimizer, no_sp.optimizer);
@@ -211,7 +204,7 @@ TEST(Footprint, Table1ConfigsFitA100)
         par.pipelineParallel = c.pp;
         par.sequenceParallel = c.sp;
         TrainingMemory mem = trainingMemoryPerDevice(
-            c.cfg, par, c.batch, 2048, c.r);
+            c.cfg, par, c.batch, {.recompute = c.r});
         EXPECT_LT(mem.total(), 80 * GiB) << c.cfg.name;
     }
 }

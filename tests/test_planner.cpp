@@ -66,9 +66,9 @@ TEST(TrainingPlanner, RespectsMemoryOverPerformance)
     std::vector<TrainingPlan> plans = planTraining(
         models::gpt175b(), presets::dgxA100(8), 64, opts);
     for (const TrainingPlan &p : plans) {
-        TrainingMemory mem = trainingMemoryPerDevice(
-            models::gpt175b(), p.parallel, 64, 2048,
-            p.options.recompute, p.options.memory);
+        TrainingMemory mem =
+            trainingMemoryPerDevice(models::gpt175b(), p.parallel, 64,
+                                    p.options);
         EXPECT_LE(mem.total(), 80 * GiB);
     }
 }
@@ -118,7 +118,10 @@ unboundedSweeps()
     gpt.opts.zeroStages = {0, 1, 2, 3};
     Sweep moe{models::mixtral8x7b(), presets::dgxA100(4), 32, {}};
     moe.opts.zeroStages = {0, 2};
-    std::vector<Sweep> out = {gpt, moe};
+    Sweep fp8{models::gpt7b(), presets::dgxH100(2), 64, {}};
+    fp8.opts.precision = Precision::FP8;
+    fp8.opts.zeroStages = {0, 1, 2};
+    std::vector<Sweep> out = {gpt, moe, fp8};
     for (Sweep &s : out)
         s.opts.keep = std::numeric_limits<size_t>::max();
     return out;
@@ -145,8 +148,16 @@ TEST(TrainingPlanner, EveryPlanEqualsDirectEvaluation)
         ASSERT_FALSE(plans.empty()) << s.model.name;
         for (const TrainingPlan &p : plans) {
             SCOPED_TRACE(s.model.name + " " + p.parallel.label());
+            // Plain options, as a caller would set them: everything
+            // the planner derives must come out the same.
+            const TrainingOptions direct{
+                .precision = s.opts.precision,
+                .recompute = p.options.recompute,
+                .seqLength = s.opts.seqLength,
+                .flashAttention = s.opts.flashAttention,
+                .memory = {.zeroStage = p.options.memory.zeroStage}};
             const TrainingReport d = evaluateTraining(
-                s.model, s.sys, p.parallel, s.batch, p.options);
+                s.model, s.sys, p.parallel, s.batch, direct);
             const TrainingReport &r = p.report;
             EXPECT_EQ(r.timePerBatch, d.timePerBatch);
             EXPECT_EQ(r.time.forward, d.time.forward);

@@ -83,7 +83,6 @@ TEST(Training, Fp8BeatsFp16OnH100)
     TrainingOptions fp16;
     TrainingOptions fp8;
     fp8.precision = Precision::FP8;
-    fp8.memory.activationBytes = 1.0;
     double t16 = run175b(presets::dgxH100(8), fp16).timePerBatch;
     double t8 = run175b(presets::dgxH100(8), fp8).timePerBatch;
     EXPECT_LT(t8, t16);

@@ -189,8 +189,6 @@ TEST(Fig5Shape, GenerationalSpeedups)
         TrainingOptions opts;
         opts.precision = prec;
         opts.recompute = Recompute::Selective;
-        opts.memory.activationBytes =
-            std::max(1.0, precisionBytes(prec));
         TrainingReport rep = evaluateTraining(
             models::gpt175b(), sys, par, batch, opts);
         return double(batch) / rep.timePerBatch;

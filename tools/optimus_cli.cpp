@@ -14,10 +14,10 @@
  * whose members are the objects accepted by config/serialize.h; a
  * member present in the file overrides the matching flags. Every
  * command that evaluates one training or inference run resolves it
- * through resolveRun; serve (flags override its config), memory (no
- * system: it lints on one shaped to hold the mapping) and dse (its
- * own defaults) do not. Add --json to emit the report as JSON instead
- * of text.
+ * through resolveRun; serve (flags override its config), memory (it
+ * lints on the run's device in a system shaped to hold the mapping)
+ * and dse (its own defaults) do not. Add --json to emit the report as
+ * JSON instead of text.
  *
  * Examples:
  *   optimus_cli train --model gpt-175b --system dgx-a100 --nodes 8 \
@@ -99,32 +99,16 @@ resolveParallel(const Args &args, const JsonValue &cfg)
     return par;
 }
 
-Recompute
-resolveRecompute(const Args &args)
-{
-    std::string name = args.get("recompute", "full");
-    if (name == "none")
-        return Recompute::None;
-    if (name == "selective")
-        return Recompute::Selective;
-    if (name == "full")
-        return Recompute::Full;
-    throw ConfigError("unknown --recompute value: " + name);
-}
-
 TrainingOptions
 resolveTrainingOptions(const Args &args, const JsonValue &cfg)
 {
     if (cfg.isObject() && cfg.has("training"))
         return config::trainingOptionsFromJson(cfg.at("training"));
-    TrainingOptions opts;
-    opts.recompute = resolveRecompute(args);
-    opts.seqLength = args.getInt("seq", 2048);
-    opts.precision = parsePrecision(args.get("precision", "fp16"));
-    opts.flashAttention = args.has("flash-attention");
-    opts.memory.flashAttention = opts.flashAttention;
-    opts.memory.zeroStage = static_cast<int>(args.getInt("zero", 0));
-    return opts;
+    return {.precision = parsePrecision(args.get("precision", "fp16")),
+            .recompute = parseRecompute(args.get("recompute", "full")),
+            .seqLength = args.getInt("seq", 2048),
+            .flashAttention = args.has("flash-attention"),
+            .memory = {.zeroStage = int(args.getInt("zero", 0))}};
 }
 
 InferenceOptions
@@ -132,15 +116,17 @@ resolveInferenceOptions(const Args &args, const JsonValue &cfg)
 {
     if (cfg.isObject() && cfg.has("inference"))
         return config::inferenceOptionsFromJson(cfg.at("inference"));
-    InferenceOptions opts;
-    opts.tensorParallel = args.getInt("tp", 1);
-    opts.pipelineParallel = args.getInt("pp", 1);
-    opts.batch = args.getInt("batch", 1);
-    opts.promptLength = args.getInt("prompt", 200);
-    opts.generateLength = args.getInt("generate", 200);
-    opts.precision = parsePrecision(args.get("precision", "fp16"));
-    opts.flashAttention = args.has("flash-attention");
-    return opts;
+    const Precision precision =
+        parsePrecision(args.get("precision", "fp16"));
+    return {.precision = precision,
+            .tensorParallel = args.getInt("tp", 1),
+            .pipelineParallel = args.getInt("pp", 1),
+            .batch = args.getInt("batch", 1),
+            .promptLength = args.getInt("prompt", 200),
+            .generateLength = args.getInt("generate", 200),
+            .flashAttention = args.has("flash-attention"),
+            // As in a config without kvPrecision: the cache follows.
+            .kvPrecision = precision};
 }
 
 /**
@@ -333,8 +319,13 @@ cmdServe(const Args &args)
     opts.tensorParallel = args.getInt("tp", opts.tensorParallel);
     opts.promptLength = args.getInt("prompt", opts.promptLength);
     opts.generateLength = args.getInt("generate", opts.generateLength);
-    if (args.has("precision"))
+    if (args.has("precision")) {
         opts.precision = parsePrecision(args.get("precision"));
+        // The KV cache follows unless the config sets its precision.
+        if (!(cfg.isObject() && cfg.has("inference") &&
+              cfg.at("inference").has("kvPrecision")))
+            opts.kvPrecision = opts.precision;
+    }
 
     Table out({"Batch", "tok/s", "req/s", "ms/token", "TTFT (ms)",
                "fits", "$/Mtok"});
@@ -449,12 +440,10 @@ cmdMemory(const Args &args)
     TransformerConfig model = resolveModel(args, cfg);
     ParallelConfig par = resolveParallel(args, cfg);
     long long batch = args.getInt("batch", 64);
-    TrainingOptions opts;
-    opts.seqLength = args.getInt("seq", 2048);
-    opts.memory.zeroStage = static_cast<int>(args.getInt("zero", 0));
+    TrainingOptions opts = resolveTrainingOptions(args, cfg);
 
-    // Gate on a system shaped to the mapping: a TP group per node.
-    System shape = config::systemPreset("dgx-a100", 1);
+    // Gate on the run's device, one TP group per node.
+    System shape = resolveSystem(args, cfg);
     shape.devicesPerNode = int(std::max(1LL, par.tensorParallel));
     shape.numNodes =
         int(std::max(1LL, par.totalDevices() / shape.devicesPerNode));
@@ -464,8 +453,9 @@ cmdMemory(const Args &args)
                "Activations", "Total (GiB)"});
     for (Recompute r : {Recompute::None, Recompute::Selective,
                         Recompute::Full}) {
-        TrainingMemory mem = trainingMemoryPerDevice(
-            model, par, batch, opts.seqLength, r, opts.memory);
+        opts.recompute = r;
+        TrainingMemory mem =
+            trainingMemoryPerDevice(model, par, batch, opts);
         out.beginRow()
             .cell(recomputeName(r))
             .cell(mem.weights / GiB, 2)
@@ -905,9 +895,10 @@ usage()
         "           [--flash-attention] [--microbatch m] "
         "[--interleave v]\n"
         "  infer    --model M --system S [--tp T] [--batch B]\n"
-        "           [--prompt P] [--generate G] [--flash-attention]\n"
+        "           [--prompt P] [--generate G] [--precision P]\n"
+        "           [--flash-attention]\n"
         "  serve    --model M --system S [--tp T] [--prompt P]\n"
-        "           [--generate G] [--max-batch N]\n"
+        "           [--generate G] [--precision P] [--max-batch N]\n"
         "  plan     --model M --system S --nodes N --batch B "
         "[--top K]\n"
         "           [--seq L] [--precision P] [--zero 0-3]\n"
@@ -916,8 +907,9 @@ usage()
         "[--threads N]\n"
         "           plus the train or infer flags; bottleneck\n"
         "           attribution per hardware resource\n"
-        "  memory   --model M --dp D --tp T --pp P [--sp] "
-        "[--batch B]\n"
+        "  memory   --model M --system S --dp D --tp T --pp P [--sp]\n"
+        "           [--batch B] [--seq L] [--precision P] [--zero 0-3]\n"
+        "           [--flash-attention]\n"
         "  lint     <config.json> [--mode train|infer] plus the train or\n"
         "           infer flags - static-check a config without\n"
         "           evaluating it (exit 1 on errors)\n"
