@@ -70,12 +70,12 @@ main()
         energy = energy.scaled(row.logicEfficiencyScale,
                                energy.dramEnergyPerByte);
         EnergyReport e = trainingEnergyPerBatch(
-            models::gpt175b(), row.sys, par, batch, rep, energy);
+            models::gpt175b(), row.sys, par, opts, rep, energy);
 
         TcoModel tco;
         tco.devicePriceUsd = row.priceUsd;
         TcoReport cost = trainingCost(row.sys, rep.timePerBatch,
-                                      batches, e);
+                                      batches, e, tco);
 
         double run_days =
             rep.timePerBatch * double(batches) / 86400.0;

@@ -20,6 +20,28 @@ collectiveName(CollectiveKind k)
     throw ModelError("unknown collective kind");
 }
 
+const char *
+collectiveAlgorithmName(CollectiveAlgorithm a)
+{
+    switch (a) {
+      case CollectiveAlgorithm::Ring: return "ring";
+      case CollectiveAlgorithm::DoubleBinaryTree: return "tree";
+      case CollectiveAlgorithm::Auto: return "auto";
+    }
+    throw ModelError("unknown collective algorithm");
+}
+
+CollectiveAlgorithm
+parseCollectiveAlgorithm(const std::string &name)
+{
+    for (CollectiveAlgorithm a :
+         {CollectiveAlgorithm::Ring, CollectiveAlgorithm::DoubleBinaryTree,
+          CollectiveAlgorithm::Auto})
+        if (name == collectiveAlgorithmName(a))
+            return a;
+    throw ConfigError("unknown collective algorithm: " + name);
+}
+
 namespace {
 
 CollectiveResult

@@ -43,6 +43,15 @@ enum class CollectiveAlgorithm {
 /** Name of a collective kind ("all-reduce", ...). */
 const char *collectiveName(CollectiveKind k);
 
+/** Name of a collective algorithm ("ring", "tree", "auto"). */
+const char *collectiveAlgorithmName(CollectiveAlgorithm a);
+
+/**
+ * Inverse of collectiveAlgorithmName; throws ConfigError on any other
+ * name.
+ */
+CollectiveAlgorithm parseCollectiveAlgorithm(const std::string &name);
+
 /** Decomposed cost of one collective call. */
 struct CollectiveResult
 {

@@ -270,6 +270,8 @@ toJson(const TrainingOptions &opts)
           JsonValue::string(precisionName(opts.precision)));
     j.set("recompute", JsonValue::string(recomputeName(opts.recompute)));
     j.set("seqLength", JsonValue::number(double(opts.seqLength)));
+    j.set("collectiveAlgorithm", JsonValue::string(collectiveAlgorithmName(
+                                     opts.collectiveAlgorithm)));
     j.set("dpOverlapFraction",
           JsonValue::number(opts.dpOverlapFraction));
     j.set("tpOverlapFraction",
@@ -294,6 +296,8 @@ toJson(const InferenceOptions &opts)
           JsonValue::number(double(opts.promptLength)));
     j.set("generateLength",
           JsonValue::number(double(opts.generateLength)));
+    j.set("collectiveAlgorithm", JsonValue::string(collectiveAlgorithmName(
+                                     opts.collectiveAlgorithm)));
     j.set("flashAttention", JsonValue::boolean(opts.flashAttention));
     j.set("kvPrecision",
           JsonValue::string(precisionName(opts.kvPrecision)));
@@ -546,6 +550,9 @@ trainingOptionsFromJson(const JsonValue &j)
     if (j.has("recompute"))
         opts.recompute = parseRecompute(j.at("recompute").asString());
     opts.seqLength = j.getInt("seqLength", opts.seqLength);
+    if (j.has("collectiveAlgorithm"))
+        opts.collectiveAlgorithm = parseCollectiveAlgorithm(
+            j.at("collectiveAlgorithm").asString());
     opts.dpOverlapFraction =
         j.getNumber("dpOverlapFraction", opts.dpOverlapFraction);
     opts.tpOverlapFraction =
@@ -571,6 +578,9 @@ inferenceOptionsFromJson(const JsonValue &j)
     opts.promptLength = j.getInt("promptLength", opts.promptLength);
     opts.generateLength =
         j.getInt("generateLength", opts.generateLength);
+    if (j.has("collectiveAlgorithm"))
+        opts.collectiveAlgorithm = parseCollectiveAlgorithm(
+            j.at("collectiveAlgorithm").asString());
     opts.flashAttention =
         j.getBool("flashAttention", opts.flashAttention);
     opts.kvPrecision =

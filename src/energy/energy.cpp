@@ -31,7 +31,8 @@ EnergyReport::averagePower(double batch_time) const
 
 EnergyReport
 trainingEnergyPerBatch(const TransformerConfig &cfg, const System &sys,
-                       const ParallelConfig &par, long long global_batch,
+                       const ParallelConfig &par,
+                       const TrainingOptions &opts,
                        const TrainingReport &rep,
                        const EnergyModel &model)
 {
@@ -58,12 +59,11 @@ trainingEnergyPerBatch(const TransformerConfig &cfg, const System &sys,
 
     // Network: TP collectives dominate volume; approximate from the
     // gradient all-reduce plus TP traffic (6 collectives of b*s*h
-    // activation bytes per layer per microbatch; sequence length
-    // recovered from the per-batch model FLOPs is overkill, the
-    // standard 2048-token context is assumed).
-    double tp_bytes = double(par.microbatchSize) * 2048.0 *
-                      cfg.hiddenSize * 2.0 * 6.0 *
-                      double(cfg.numLayers) * double(rep.microbatches);
+    // activations per layer per microbatch).
+    double tp_bytes = double(par.microbatchSize) * double(opts.seqLength) *
+                      cfg.hiddenSize * activationBytes(opts.precision) *
+                      6.0 * double(cfg.numLayers) *
+                      double(rep.microbatches);
     double dp_bytes = parametersPerDevice(cfg, par) * 2.0 * 2.0;
     e.network = (tp_bytes + dp_bytes) * double(sys.totalDevices()) *
                 model.networkEnergyPerByte;
@@ -71,7 +71,6 @@ trainingEnergyPerBatch(const TransformerConfig &cfg, const System &sys,
     // Idle burn across the whole batch.
     e.idle = model.devicePower * model.idlePowerFraction *
              rep.timePerBatch * double(sys.totalDevices());
-    (void)global_batch;
     return e;
 }
 

@@ -47,12 +47,13 @@ struct EnergyReport
 
 /**
  * Energy of one training batch, estimated from the training report's
- * work terms and the per-device kernel accounting.
+ * work terms and the per-device kernel accounting. @p opts are the
+ * options @p rep was evaluated with.
  */
 EnergyReport trainingEnergyPerBatch(const TransformerConfig &cfg,
                                     const System &sys,
                                     const ParallelConfig &par,
-                                    long long global_batch,
+                                    const TrainingOptions &opts,
                                     const TrainingReport &rep,
                                     const EnergyModel &model = {});
 

@@ -13,6 +13,18 @@
 
 namespace optimus {
 
+namespace {
+
+/** Add @p n to @p counter of the trace sink @p tr, if there is one. */
+void
+count(TraceSession *tr, const char *counter, double n = 1.0)
+{
+    if (tr != nullptr)
+        tr->counterAdd(counter, n);
+}
+
+} // namespace
+
 std::vector<TrainingPlan>
 planTraining(const TransformerConfig &model, const System &sys,
              long long global_batch, const TrainingPlannerOptions &opts)
@@ -23,13 +35,9 @@ planTraining(const TransformerConfig &model, const System &sys,
     checkConfig(!opts.microbatchSizes.empty(),
                 "planner needs at least one microbatch size");
 
-    TraceSession *tr = opts.trace;
-    const bool tron = tr != nullptr;
-
-    // The loop-invariant option fields, built once.
-    const TrainingOptions base{.precision = opts.precision,
-                               .seqLength = opts.seqLength,
-                               .flashAttention = opts.flashAttention};
+    // The run's options; each candidate sets recompute and ZeRO.
+    TrainingOptions base = opts.training;
+    base.trace = nullptr;
 
     // The gate: model, system, then the options at each ZeRO stage (no
     // candidate sets CP); isLegalMapping filters each mapping.
@@ -58,7 +66,7 @@ planTraining(const TransformerConfig &model, const System &sys,
     // A compute class: the candidates whose compute part lowers to
     // the same op lists (plan::lowerTrainingCompute). Everything else
     // that part reads is fixed for the whole sweep.
-    using ClassKey = std::tuple<long long, bool, long long, Recompute>;
+    using ClassKey = std::tuple<long long, long long, Recompute>;
     struct ComputeClass
     {
         size_t first = 0;  ///< its first candidate
@@ -74,13 +82,11 @@ planTraining(const TransformerConfig &model, const System &sys,
              pp *= 2) {
             long long dp = sys.totalDevices() / (tp * pp);
 
+            // The plain schedule, and the deepest interleaving: one
+            // transformer layer per chunk.
             std::vector<long long> interleaves = {1};
-            if (opts.tryInterleaving && pp > 1) {
-                // The deepest: one transformer layer per chunk.
-                long long v = model.numLayers / pp;
-                if (v > 1)
-                    interleaves.push_back(v);
-            }
+            if (pp > 1 && model.numLayers / pp > 1)
+                interleaves.push_back(model.numLayers / pp);
 
             for (long long micro : opts.microbatchSizes) {
                 for (long long v : interleaves) {
@@ -88,8 +94,7 @@ planTraining(const TransformerConfig &model, const System &sys,
                     par.dataParallel = dp;
                     par.tensorParallel = tp;
                     par.pipelineParallel = pp;
-                    par.sequenceParallel =
-                        opts.allowSequenceParallel && tp > 1;
+                    par.sequenceParallel = tp > 1;
                     par.microbatchSize = micro;
                     if (v > 1) {
                         par.schedule =
@@ -99,14 +104,10 @@ planTraining(const TransformerConfig &model, const System &sys,
                     // One lint call replaces the hand-rolled
                     // divisibility checks: skip illegal mappings
                     // before touching memory or timing models.
-                    if (tron)
-                        tr->counterAdd(
-                            "planner/mappings-enumerated");
+                    count(opts.trace, "planner/mappings-enumerated");
                     if (!lint::isLegalMapping(model, sys, par,
                                               global_batch)) {
-                        if (tron)
-                            tr->counterAdd(
-                                "planner/pruned-illegal");
+                        count(opts.trace, "planner/pruned-illegal");
                         continue;
                     }
 
@@ -121,16 +122,11 @@ planTraining(const TransformerConfig &model, const System &sys,
                                     model, par, global_batch, topts);
                             if (mem.total() >
                                 sys.device.dram().capacity) {
-                                if (tron)
-                                    tr->counterAdd(
-                                        "planner/pruned-memory");
+                                count(opts.trace, "planner/pruned-memory");
                                 continue;
                             }
-                            if (tron)
-                                tr->counterAdd(
-                                    "planner/plans-evaluated");
-                            const ClassKey key{tp, par.sequenceParallel,
-                                               micro, r};
+                            count(opts.trace, "planner/plans-evaluated");
+                            const ClassKey key{tp, micro, r};
                             auto [it, added] = class_index.try_emplace(
                                 key, classes.size());
                             if (added)
@@ -149,9 +145,7 @@ planTraining(const TransformerConfig &model, const System &sys,
     // independent pure functions, fanned out through the exec layer.
     // The candidates of a class need only the priced estimates and
     // the parts' scales, so the op lists are dropped.
-    if (tron)
-        tr->counterAdd("planner/compute-classes",
-                       double(classes.size()));
+    count(opts.trace, "planner/compute-classes", double(classes.size()));
     exec::parallelFor(
         static_cast<long long>(classes.size()), opts.threads,
         [&](long long k) {
@@ -177,7 +171,7 @@ planTraining(const TransformerConfig &model, const System &sys,
     // FLOPs per batch are the same for every candidate, and each
     // candidate's memory was computed during enumeration.
     const double model_flops = plan::modelFlopsPerBatch(
-        model, global_batch, opts.seqLength, opts.precision);
+        model, global_batch, base.seqLength, base.precision);
     std::vector<TrainingPlan> plans = exec::parallelMap(
         static_cast<long long>(candidates.size()), opts.threads,
         [&](long long i) {
@@ -194,7 +188,7 @@ planTraining(const TransformerConfig &model, const System &sys,
             plan.options = c.options;
             plan.report = plan::trainingReport(
                 ep, plan::foldTraining(ep, nullptr), sys,
-                opts.precision, c.memory, model_flops);
+                base.precision, c.memory, model_flops);
             return plan;
         });
 
@@ -239,14 +233,11 @@ planServing(const TransformerConfig &model, const System &sys,
         lint::lintInferenceGate(model, sys, servingInference(sopts)));
 
     std::vector<ServingPlan> plans;
-    TraceSession *tr = opts.trace;
-    const bool tron = tr != nullptr;
     for (long long tp : opts.tensorParallelChoices) {
         sopts.tensorParallel = tp;
         if (lint::lintInferenceMapping(model, sys, servingInference(sopts))
                 .hasErrors()) {
-            if (tron)
-                tr->counterAdd("planner/serving-tp-skipped");
+            count(opts.trace, "planner/serving-tp-skipped");
             continue;
         }
 
@@ -254,8 +245,7 @@ planServing(const TransformerConfig &model, const System &sys,
         bool any = false;
         for (const ServingPoint &pt :
              servingSweepLinted(model, sys, sopts, batches)) {
-            if (tron)
-                tr->counterAdd("planner/serving-points");
+            count(opts.trace, "planner/serving-points");
             if (!pt.fits)
                 break;
             if (opts.maxInterTokenLatency > 0.0 &&

@@ -20,19 +20,15 @@ namespace optimus {
 
 class TraceSession;
 
-/** Search-space switches for the training planner. */
+/** The training planner's run options and search space. */
 struct TrainingPlannerOptions
 {
-    long long seqLength = 2048;
-    Precision precision = Precision::FP16;
-    bool allowSequenceParallel = true;
-    bool flashAttention = false;
+    /** Every candidate's options but recompute, ZeRO stage and trace. */
+    TrainingOptions training;
     std::vector<Recompute> recomputeChoices = {
         Recompute::None, Recompute::Selective, Recompute::Full};
     std::vector<int> zeroStages = {0};
     std::vector<long long> microbatchSizes = {1};
-    /** Also try the deepest valid interleaving for each PP degree. */
-    bool tryInterleaving = true;
     /** Keep at most this many ranked plans. */
     size_t keep = 10;
 
@@ -49,7 +45,7 @@ struct TrainingPlannerOptions
      * ("planner/mappings-enumerated"), mappings discarded by lint
      * ("planner/pruned-illegal") or memory ("planner/pruned-memory"),
      * candidates evaluated ("planner/plans-evaluated"), and the
-     * distinct compute classes among them, (TP, SP, microbatch,
+     * distinct compute classes among them, (TP, microbatch,
      * recompute), whose compute steps are priced once each
      * ("planner/compute-classes").
      */
@@ -65,9 +61,12 @@ struct TrainingPlan
 };
 
 /**
- * Enumerate and rank training plans (fastest first). Returns an empty
- * vector when nothing fits device memory. Gate: lint::lintModel,
- * lint::lintSystem and lint::lintTrainingOptions per ZeRO stage.
+ * Enumerate and rank training plans (fastest first): every power-of-two
+ * TP within a node and PP, sequence parallelism whenever TP > 1, the
+ * plain schedule and the deepest valid interleaving, each microbatch
+ * size, recompute choice and ZeRO stage. Returns an empty vector when
+ * nothing fits device memory. Gate: lint::lintModel, lint::lintSystem
+ * and lint::lintTrainingOptions of opts.training per ZeRO stage.
  */
 std::vector<TrainingPlan> planTraining(
     const TransformerConfig &model, const System &sys,

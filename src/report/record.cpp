@@ -376,18 +376,23 @@ recordPlanner(const TransformerConfig &model, const System &sys,
     config.set("model", config::toJson(model));
     config.set("system", config::toJson(sys));
     config.set("batch", JsonValue::number(double(global_batch)));
-    JsonValue knobs = JsonValue::object();
-    knobs.set("seqLength", JsonValue::number(double(opts.seqLength)));
-    knobs.set("precision",
-              JsonValue::string(precisionName(opts.precision)));
-    knobs.set("keep", JsonValue::number(double(opts.keep)));
-    knobs.set("flashAttention",
-              JsonValue::boolean(opts.flashAttention));
-    JsonValue zero = JsonValue::array();
-    for (int stage : opts.zeroStages)
-        zero.push(JsonValue::number(double(stage)));
-    knobs.set("zeroStages", std::move(zero));
-    config.set("planner", std::move(knobs));
+    config.set("training", config::toJson(opts.training));
+    auto list = [](const auto &values, auto item) {
+        JsonValue a = JsonValue::array();
+        for (const auto &v : values)
+            a.push(item(v));
+        return a;
+    };
+    auto number = [](auto v) { return JsonValue::number(double(v)); };
+    JsonValue search = JsonValue::object();
+    search.set("zeroStages", list(opts.zeroStages, number));
+    search.set("recomputeChoices",
+               list(opts.recomputeChoices, [](Recompute r) {
+                   return JsonValue::string(recomputeName(r));
+               }));
+    search.set("microbatchSizes", list(opts.microbatchSizes, number));
+    search.set("keep", number(opts.keep));
+    config.set("planner", std::move(search));
     RunRecord rec = beginRecord("planner", label, std::move(config));
     rec.threads = resolveThreads(opts.threads);
 

@@ -1,6 +1,7 @@
 # `record --mode plan` must record the plan that `plan` ranks first for
 # the same config and flags: its time per batch (to the 2 decimals
-# `plan` prints), its ZeRO stage, and flash attention.
+# `plan` prints), its ZeRO stage, and flash attention. The config has
+# no training section, so the training flags set the run.
 #
 #   cmake -DCLI=<optimus_cli> -DCONFIG=<config.json> -P cli_record_plan.cmake
 
@@ -29,7 +30,7 @@ endif()
 file(READ record_plan.json rec)
 string(JSON time GET "${rec}" metrics best/time-per-batch)
 string(JSON zero GET "${rec}" attrs best/zero)
-string(JSON flash GET "${rec}" config planner flashAttention)
+string(JSON flash GET "${rec}" config training flashAttention)
 
 string(REGEX MATCH "^([0-9]+)\\.([0-9]*)" _ "${time}")
 string(SUBSTRING "${CMAKE_MATCH_2}000" 0 3 frac)

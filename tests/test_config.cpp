@@ -4,6 +4,8 @@
  * registries.
  */
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "config/serialize.h"
@@ -79,6 +81,32 @@ TEST(Serialize, ParallelRoundTrips)
     EXPECT_EQ(back.label(), p.label());
     EXPECT_EQ(back.schedule, p.schedule);
     EXPECT_EQ(back.interleavedStages, 6);
+}
+
+TEST(Serialize, CollectiveAlgorithmRoundTrips)
+{
+    const std::pair<CollectiveAlgorithm, const char *> algorithms[] = {
+        {CollectiveAlgorithm::Auto, "auto"},
+        {CollectiveAlgorithm::Ring, "ring"},
+        {CollectiveAlgorithm::DoubleBinaryTree, "tree"}};
+    for (const auto &[algo, name] : algorithms) {
+        TrainingOptions t;
+        t.collectiveAlgorithm = algo;
+        const JsonValue tj = config::toJson(t);
+        EXPECT_EQ(tj.at("collectiveAlgorithm").asString(), name);
+        EXPECT_EQ(config::trainingOptionsFromJson(tj).collectiveAlgorithm,
+                  algo);
+
+        InferenceOptions i;
+        i.collectiveAlgorithm = algo;
+        const JsonValue ij = config::toJson(i);
+        EXPECT_EQ(ij.at("collectiveAlgorithm").asString(), name);
+        EXPECT_EQ(config::inferenceOptionsFromJson(ij).collectiveAlgorithm,
+                  algo);
+    }
+    EXPECT_THROW(config::trainingOptionsFromJson(JsonValue::parse(
+                     R"({"collectiveAlgorithm": "mesh"})")),
+                 ConfigError);
 }
 
 TEST(Deserialize, PresetReference)

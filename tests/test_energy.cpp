@@ -18,13 +18,14 @@ struct Fixture
     TransformerConfig cfg = models::gpt175b();
     System sys = presets::dgxA100(8);
     ParallelConfig par;
+    TrainingOptions opts;
     TrainingReport rep;
 
     Fixture()
     {
         par.tensorParallel = 8;
         par.pipelineParallel = 8;
-        rep = evaluateTraining(cfg, sys, par, 64, {});
+        rep = evaluateTraining(cfg, sys, par, 64, opts);
     }
 };
 
@@ -32,7 +33,7 @@ TEST(Energy, ComponentsArePositiveAndSum)
 {
     Fixture f;
     EnergyReport e =
-        trainingEnergyPerBatch(f.cfg, f.sys, f.par, 64, f.rep);
+        trainingEnergyPerBatch(f.cfg, f.sys, f.par, f.opts, f.rep);
     EXPECT_GT(e.compute, 0.0);
     EXPECT_GT(e.dram, 0.0);
     EXPECT_GT(e.network, 0.0);
@@ -45,7 +46,7 @@ TEST(Energy, AveragePowerIsWithinFleetTdp)
 {
     Fixture f;
     EnergyReport e =
-        trainingEnergyPerBatch(f.cfg, f.sys, f.par, 64, f.rep);
+        trainingEnergyPerBatch(f.cfg, f.sys, f.par, f.opts, f.rep);
     double watts = e.averagePower(f.rep.timePerBatch);
     double fleet_tdp = 400.0 * 64.0;
     EXPECT_GT(watts, 0.1 * fleet_tdp);
@@ -66,18 +67,35 @@ TEST(Energy, MoreEfficientLogicCutsComputeEnergy)
     Fixture f;
     EnergyModel eff = EnergyModel{}.scaled(2.0, 28e-12);
     EnergyReport a =
-        trainingEnergyPerBatch(f.cfg, f.sys, f.par, 64, f.rep);
+        trainingEnergyPerBatch(f.cfg, f.sys, f.par, f.opts, f.rep);
     EnergyReport b =
-        trainingEnergyPerBatch(f.cfg, f.sys, f.par, 64, f.rep, eff);
+        trainingEnergyPerBatch(f.cfg, f.sys, f.par, f.opts, f.rep, eff);
     EXPECT_NEAR(b.compute, a.compute / 2.0, a.compute * 1e-9);
     EXPECT_DOUBLE_EQ(b.dram, a.dram);
+}
+
+TEST(Energy, NetworkEnergyFollowsSequenceLength)
+{
+    // The same report priced for a longer sequence moves more TP
+    // activation bytes; nothing else changes.
+    Fixture f;
+    TrainingOptions longer = f.opts;
+    longer.seqLength = 2 * f.opts.seqLength;
+    EnergyReport a =
+        trainingEnergyPerBatch(f.cfg, f.sys, f.par, f.opts, f.rep);
+    EnergyReport b =
+        trainingEnergyPerBatch(f.cfg, f.sys, f.par, longer, f.rep);
+    EXPECT_GT(b.network, a.network);
+    EXPECT_EQ(b.compute, a.compute);
+    EXPECT_EQ(b.dram, a.dram);
+    EXPECT_EQ(b.idle, a.idle);
 }
 
 TEST(Tco, CapexAmortizesOverRunTime)
 {
     Fixture f;
     EnergyReport e =
-        trainingEnergyPerBatch(f.cfg, f.sys, f.par, 64, f.rep);
+        trainingEnergyPerBatch(f.cfg, f.sys, f.par, f.opts, f.rep);
     TcoReport one = trainingCost(f.sys, f.rep.timePerBatch, 1000, e);
     TcoReport two = trainingCost(f.sys, f.rep.timePerBatch, 2000, e);
     EXPECT_NEAR(two.capexUsd, one.capexUsd * 2.0, one.capexUsd * 1e-9);
@@ -93,7 +111,7 @@ TEST(Tco, Gpt3ScaleTrainingCostsMillions)
     // 64 x 2048 tokens -> ~2.3M batches on 64 GPUs.
     Fixture f;
     EnergyReport e =
-        trainingEnergyPerBatch(f.cfg, f.sys, f.par, 64, f.rep);
+        trainingEnergyPerBatch(f.cfg, f.sys, f.par, f.opts, f.rep);
     TcoReport tco =
         trainingCost(f.sys, f.rep.timePerBatch, 2'300'000, e);
     EXPECT_GT(tco.totalUsd, 3e5);

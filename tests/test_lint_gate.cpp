@@ -141,7 +141,7 @@ gateCases()
     no_prompt.promptLength = 0;
 
     TrainingPlannerOptions seq0;
-    seq0.seqLength = 0;
+    seq0.training.seqLength = 0;
     TrainingPlannerOptions zero5;
     zero5.zeroStages = {0, 5};
     ServingPlannerOptions fp8_plan;
@@ -151,6 +151,7 @@ gateCases()
     const ParallelConfig dp8 = mapping(8, 1, 1);
     const TrainingOptions fp8 = withPrecision(Precision::FP8);
     const TrainingOptions overlap3 = {.tpOverlapFraction = 3.0};
+    const TrainingPlannerOptions plan_overlap3 = {.training = overlap3};
     InferenceOptions batch0 = servingInference(serveAt(1));
     batch0.batch = 0;
 
@@ -213,6 +214,9 @@ gateCases()
         {"planTraining: ZeRO 5", lint::kRuleZeroStage,
          [=] { return lint::lintTraining(gpt7b, node, dp8, 64, withZero(5)); },
          [=] { planTraining(gpt7b, node, 64, zero5); }},
+        {"planTraining: TP overlap 3", lint::kRuleOverlapFraction,
+         [=] { return lint::lintTraining(gpt7b, node, dp8, 64, overlap3); },
+         [=] { planTraining(gpt7b, node, 64, plan_overlap3); }},
         {"planServing: fp8 on A100", lint::kRulePrecisionSupport,
          [=] {
              return lint::lintInference(l13b, node,

@@ -119,9 +119,15 @@ unboundedSweeps()
     Sweep moe{models::mixtral8x7b(), presets::dgxA100(4), 32, {}};
     moe.opts.zeroStages = {0, 2};
     Sweep fp8{models::gpt7b(), presets::dgxH100(2), 64, {}};
-    fp8.opts.precision = Precision::FP8;
+    fp8.opts.training.precision = Precision::FP8;
     fp8.opts.zeroStages = {0, 1, 2};
-    std::vector<Sweep> out = {gpt, moe, fp8};
+    // Overlapped and Ring-scheduled collectives.
+    Sweep overlap{models::gpt7b(), presets::dgxA100(2), 64, {}};
+    overlap.opts.training.tpOverlapFraction = 0.5;
+    overlap.opts.training.dpOverlapFraction = 0.3;
+    overlap.opts.training.collectiveAlgorithm = CollectiveAlgorithm::Ring;
+    overlap.opts.zeroStages = {0, 1, 2};
+    std::vector<Sweep> out = {gpt, moe, fp8, overlap};
     for (Sweep &s : out)
         s.opts.keep = std::numeric_limits<size_t>::max();
     return out;
@@ -148,14 +154,12 @@ TEST(TrainingPlanner, EveryPlanEqualsDirectEvaluation)
         ASSERT_FALSE(plans.empty()) << s.model.name;
         for (const TrainingPlan &p : plans) {
             SCOPED_TRACE(s.model.name + " " + p.parallel.label());
-            // Plain options, as a caller would set them: everything
-            // the planner derives must come out the same.
-            const TrainingOptions direct{
-                .precision = s.opts.precision,
-                .recompute = p.options.recompute,
-                .seqLength = s.opts.seqLength,
-                .flashAttention = s.opts.flashAttention,
-                .memory = {.zeroStage = p.options.memory.zeroStage}};
+            // The run's options with the plan's recompute and ZeRO
+            // stage, as a caller would set them: everything the
+            // planner derives must come out the same.
+            TrainingOptions direct = s.opts.training;
+            direct.recompute = p.options.recompute;
+            direct.memory.zeroStage = p.options.memory.zeroStage;
             const TrainingReport d = evaluateTraining(
                 s.model, s.sys, p.parallel, s.batch, direct);
             const TrainingReport &r = p.report;

@@ -82,12 +82,18 @@ TEST(RunRecord, PlannerAndDseRecordsCopyCounters)
     EXPECT_GT(plan.metric("plans/found"), 0.0);
     EXPECT_GT(plan.metric("best/time-per-batch"), 0.0);
     EXPECT_TRUE(plan.kernels.empty());
-    // The ZeRO stages searched are part of the fingerprint.
+    // The run's training options and every search-space list are
+    // part of the fingerprint.
     TrainingPlannerOptions zero = popts;
     zero.zeroStages = {0, 1};
-    EXPECT_NE(report::recordPlanner(models::gpt7b(), sys, 16, zero)
-                  .fingerprint,
-              plan.fingerprint);
+    TrainingPlannerOptions micro = popts;
+    micro.microbatchSizes = {1, 2};
+    TrainingPlannerOptions bf16 = popts;
+    bf16.training.precision = Precision::BF16;
+    for (const TrainingPlannerOptions &other : {zero, micro, bf16})
+        EXPECT_NE(report::recordPlanner(models::gpt7b(), sys, 16, other)
+                      .fingerprint,
+                  plan.fingerprint);
     TraceSession planner_session;
     popts.trace = &planner_session;
     planTraining(models::gpt7b(), sys, 16, popts);

@@ -13,9 +13,8 @@
  * JSON config file (the first positional operand, or --config FILE)
  * whose members are the objects accepted by config/serialize.h; a
  * member present in the file overrides the matching flags. Every
- * command that evaluates one training or inference run resolves it
- * through resolveRun; serve (flags override its config), memory (it
- * lints on the run's device in a system shaped to hold the mapping)
+ * command that evaluates a training or inference run, or plans one,
+ * resolves it through resolveRun; serve (flags override its config)
  * and dse (its own defaults) do not. Add --json to emit the report as
  * JSON instead of text.
  *
@@ -207,19 +206,16 @@ lintRun(const Run &run)
                                           run.batch, run.training);
 }
 
-/** The `plan` flags, shared by `plan` and `record --mode plan`. */
+/** The planner search of `plan` and `record --mode plan` around a run. */
 TrainingPlannerOptions
-resolvePlannerOptions(const Args &args)
+resolvePlannerOptions(const Args &args, const Run &run)
 {
     TrainingPlannerOptions opts;
-    opts.seqLength = args.getInt("seq", 2048);
-    opts.precision = parsePrecision(args.get("precision", "fp16"));
-    opts.flashAttention = args.has("flash-attention");
+    opts.training = run.training;
+    if (run.training.memory.zeroStage != 0)
+        opts.zeroStages.push_back(run.training.memory.zeroStage);
     opts.keep = static_cast<size_t>(args.getInt("top", 8));
     opts.threads = static_cast<int>(args.getInt("threads", 0));
-    if (args.has("zero"))
-        opts.zeroStages = {0,
-                           static_cast<int>(args.getInt("zero", 1))};
     return opts;
 }
 
@@ -395,17 +391,14 @@ cmdSensitivity(const Args &args)
 int
 cmdPlan(const Args &args)
 {
-    JsonValue cfg = loadConfig(args);
-    TransformerConfig model = resolveModel(args, cfg);
-    System sys = resolveSystem(args, cfg);
-    long long batch = args.getInt("batch", 64);
-
+    const Run run = resolveRun(args, loadConfig(args), false);
     std::vector<TrainingPlan> plans =
-        planTraining(model, sys, batch, resolvePlannerOptions(args));
+        planTraining(run.model, run.sys, run.batch,
+                     resolvePlannerOptions(args, run));
     if (plans.empty()) {
-        std::cout << "no parallelization of " << model.name
-                  << " fits " << sys.device.name
-                  << " memory at batch " << batch << "\n";
+        std::cout << "no parallelization of " << run.model.name
+                  << " fits " << run.sys.device.name
+                  << " memory at batch " << run.batch << "\n";
         return 1;
     }
 
@@ -426,8 +419,8 @@ cmdPlan(const Args &args)
             .cell(p.report.memory.total() / GiB, 1);
         out.endRow();
     }
-    std::cout << model.name << " on " << sys.totalDevices() << "x "
-              << sys.device.name << ", batch " << batch
+    std::cout << run.model.name << " on " << run.sys.totalDevices()
+              << "x " << run.sys.device.name << ", batch " << run.batch
               << " - ranked plans:\n\n";
     out.print(std::cout);
     return 0;
@@ -436,18 +429,17 @@ cmdPlan(const Args &args)
 int
 cmdMemory(const Args &args)
 {
-    JsonValue cfg = loadConfig(args);
-    TransformerConfig model = resolveModel(args, cfg);
-    ParallelConfig par = resolveParallel(args, cfg);
-    long long batch = args.getInt("batch", 64);
-    TrainingOptions opts = resolveTrainingOptions(args, cfg);
+    Run run = resolveRun(args, loadConfig(args), false);
+    const ParallelConfig &par = run.par;
+    TrainingOptions &opts = run.training;
 
     // Gate on the run's device, one TP group per node.
-    System shape = resolveSystem(args, cfg);
+    System shape = run.sys;
     shape.devicesPerNode = int(std::max(1LL, par.tensorParallel));
     shape.numNodes =
         int(std::max(1LL, par.totalDevices() / shape.devicesPerNode));
-    lint::enforce(lint::lintTrainingGate(model, shape, par, batch, opts));
+    lint::enforce(
+        lint::lintTrainingGate(run.model, shape, par, run.batch, opts));
 
     Table out({"Recompute", "Weights", "Grads", "Optimizer",
                "Activations", "Total (GiB)"});
@@ -455,7 +447,7 @@ cmdMemory(const Args &args)
                         Recompute::Full}) {
         opts.recompute = r;
         TrainingMemory mem =
-            trainingMemoryPerDevice(model, par, batch, opts);
+            trainingMemoryPerDevice(run.model, par, run.batch, opts);
         out.beginRow()
             .cell(recomputeName(r))
             .cell(mem.weights / GiB, 2)
@@ -465,8 +457,8 @@ cmdMemory(const Args &args)
             .cell(mem.total() / GiB, 2);
         out.endRow();
     }
-    std::cout << model.name << ", " << par.label() << ", batch "
-              << batch << ", seq " << opts.seqLength
+    std::cout << run.model.name << ", " << par.label() << ", batch "
+              << run.batch << ", seq " << opts.seqLength
               << " (GiB per device)\n\n";
     out.print(std::cout);
     return 0;
@@ -797,13 +789,11 @@ cmdRecord(const Args &args)
     const std::string mode = args.get("mode");
     report::RunRecord rec;
     if (mode == "plan") {
-        JsonValue cfg = loadConfig(args);
-        TransformerConfig model = resolveModel(args, cfg);
-        System sys = resolveSystem(args, cfg);
-        long long batch = args.getInt("batch", 64);
+        const Run run = resolveRun(args, loadConfig(args), false);
         rec = report::recordPlanner(
-            model, sys, batch, resolvePlannerOptions(args),
-            args.get("label", model.name + " planner"));
+            run.model, run.sys, run.batch,
+            resolvePlannerOptions(args, run),
+            args.get("label", run.model.name + " planner"));
     } else if (mode == "dse") {
         // record's --mode picks dse itself, so the objective takes
         // dse's default mode.
@@ -899,17 +889,15 @@ usage()
         "           [--flash-attention]\n"
         "  serve    --model M --system S [--tp T] [--prompt P]\n"
         "           [--generate G] [--precision P] [--max-batch N]\n"
-        "  plan     --model M --system S --nodes N --batch B "
-        "[--top K]\n"
-        "           [--seq L] [--precision P] [--zero 0-3]\n"
-        "           [--flash-attention] [--threads N]\n"
+        "  plan     <config.json> plus the train flags [--top K]\n"
+        "           [--threads N]; ranks mappings x recompute x ZeRO\n"
+        "           {0, the run's stage} under the run's options\n"
         "  sensitivity <config.json> [--mode train|infer] "
         "[--threads N]\n"
         "           plus the train or infer flags; bottleneck\n"
         "           attribution per hardware resource\n"
-        "  memory   --model M --system S --dp D --tp T --pp P [--sp]\n"
-        "           [--batch B] [--seq L] [--precision P] [--zero 0-3]\n"
-        "           [--flash-attention]\n"
+        "  memory   <config.json> plus the train flags; the footprint\n"
+        "           of the train run per recompute mode\n"
         "  lint     <config.json> [--mode train|infer] plus the train or\n"
         "           infer flags - static-check a config without\n"
         "           evaluating it (exit 1 on errors)\n"
@@ -928,8 +916,9 @@ usage()
         "  record   <config.json> [--mode train|infer|plan|dse]\n"
         "           [--out run.json] [--label NAME]\n"
         "           write a schema-versioned RunRecord ledger entry;\n"
-        "           --mode plan takes the plan flags, --mode dse the\n"
-        "           dse flags and records the training objective\n"
+        "           --mode plan records what plan ranks, --mode dse\n"
+        "           takes the dse flags and records the training\n"
+        "           objective\n"
         "  diff     <a.json> <b.json> [--check] [--tol-pct N] "
         "[--json]\n"
         "           compare two RunRecords; --check exits 1 on drift\n"
