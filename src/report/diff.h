@@ -15,9 +15,9 @@
  *  - a metric, kernel time, or validation prediction whose relative
  *    delta exceeds DiffOptions::tolPct;
  *  - any structural drift listed above.
- * Counters are reported for context but never gate: totals such as
- * tile-cache hits or exec/threads legitimately vary with thread
- * count. Wall-clock and git SHA are metadata, never compared.
+ * Counters are reported for context but never gate: tile-cache hits,
+ * for one, vary with thread count and with what ran earlier in the
+ * process. Wall-clock and git SHA are metadata, never compared.
  */
 
 #ifndef OPTIMUS_REPORT_DIFF_H

@@ -257,10 +257,10 @@ loadRunRecord(const std::string &path)
     return recordFromJson(JsonValue::parse(ss.str()));
 }
 
-RunRecord
-recordTraining(const TransformerConfig &model, const System &sys,
-               const ParallelConfig &par, long long global_batch,
-               TrainingOptions opts, const std::string &label)
+JsonValue
+runConfig(const TransformerConfig &model, const System &sys,
+          const ParallelConfig &par, long long global_batch,
+          const TrainingOptions &opts)
 {
     JsonValue config = JsonValue::object();
     config.set("model", config::toJson(model));
@@ -268,7 +268,28 @@ recordTraining(const TransformerConfig &model, const System &sys,
     config.set("parallel", config::toJson(par));
     config.set("batch", JsonValue::number(double(global_batch)));
     config.set("training", config::toJson(opts));
-    RunRecord rec = beginRecord("training", label, std::move(config));
+    return config;
+}
+
+JsonValue
+runConfig(const TransformerConfig &model, const System &sys,
+          const InferenceOptions &opts)
+{
+    JsonValue config = JsonValue::object();
+    config.set("model", config::toJson(model));
+    config.set("system", config::toJson(sys));
+    config.set("inference", config::toJson(opts));
+    return config;
+}
+
+RunRecord
+recordTraining(const TransformerConfig &model, const System &sys,
+               const ParallelConfig &par, long long global_batch,
+               TrainingOptions opts, const std::string &label)
+{
+    RunRecord rec = beginRecord(
+        "training", label,
+        runConfig(model, sys, par, global_batch, opts));
     rec.threads = resolveThreads();
 
     // The recorder reads kernel aggregates and counters straight off
@@ -318,11 +339,8 @@ RunRecord
 recordInference(const TransformerConfig &model, const System &sys,
                 InferenceOptions opts, const std::string &label)
 {
-    JsonValue config = JsonValue::object();
-    config.set("model", config::toJson(model));
-    config.set("system", config::toJson(sys));
-    config.set("inference", config::toJson(opts));
-    RunRecord rec = beginRecord("inference", label, std::move(config));
+    RunRecord rec =
+        beginRecord("inference", label, runConfig(model, sys, opts));
     rec.threads = resolveThreads();
 
     // The recorder reads kernel aggregates and counters straight off
@@ -376,7 +394,14 @@ recordPlanner(const TransformerConfig &model, const System &sys,
     config.set("model", config::toJson(model));
     config.set("system", config::toJson(sys));
     config.set("batch", JsonValue::number(double(global_batch)));
-    config.set("training", config::toJson(opts.training));
+    // The sweep sets recompute and the ZeRO stage per candidate; the
+    // searched ones are in the planner lists.
+    const JsonValue run_training = config::toJson(opts.training);
+    JsonValue training = JsonValue::object();
+    for (const auto &kv : run_training.asObject())
+        if (kv.first != "recompute" && kv.first != "zeroStage")
+            training.set(kv.first, kv.second);
+    config.set("training", std::move(training));
     auto list = [](const auto &values, auto item) {
         JsonValue a = JsonValue::array();
         for (const auto &v : values)
@@ -430,7 +455,12 @@ recordDse(const TechConfig &tech, const DeviceObjective &objective,
 {
     JsonValue config = JsonValue::object();
     config.set("node", JsonValue::string(tech.node.name));
-    config.set("dram", JsonValue::string(tech.dram.name));
+    JsonValue dram = JsonValue::object();
+    dram.set("name", JsonValue::string(tech.dram.name));
+    dram.set("bandwidth", JsonValue::number(tech.dram.bandwidth));
+    dram.set("capacity", JsonValue::number(tech.dram.capacity));
+    dram.set("energyPerByte", JsonValue::number(tech.dram.energyPerByte));
+    config.set("dram", std::move(dram));
     config.set("areaBudget", JsonValue::number(tech.areaBudget));
     config.set("powerBudget", JsonValue::number(tech.powerBudget));
     config.set("gridSteps", JsonValue::number(double(opts.gridSteps)));

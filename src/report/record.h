@@ -114,6 +114,15 @@ RunRecord loadRunRecord(const std::string &path);
 // private TraceSession. `threads` follows the exec-layer convention
 // (0 = OPTIMUS_THREADS env, default 1).
 
+/** The canonical config of a training run, as recordTraining's. */
+JsonValue runConfig(const TransformerConfig &model, const System &sys,
+                    const ParallelConfig &par, long long global_batch,
+                    const TrainingOptions &opts);
+
+/** The canonical config of an inference run, as recordInference's. */
+JsonValue runConfig(const TransformerConfig &model, const System &sys,
+                    const InferenceOptions &opts);
+
 /** Record one training evaluation. */
 RunRecord recordTraining(const TransformerConfig &model,
                          const System &sys, const ParallelConfig &par,
@@ -131,7 +140,10 @@ RunRecord recordPlanner(const TransformerConfig &model,
                         TrainingPlannerOptions opts,
                         const std::string &label = "planner");
 
-/** Record a DSE search (metrics describe the optimized design). */
+/**
+ * Record a DSE search (metrics describe the optimized design);
+ * @p objective_config describes the objective, e.g. a runConfig.
+ */
 RunRecord recordDse(const TechConfig &tech,
                     const DeviceObjective &objective, DseOptions opts,
                     const JsonValue &objective_config,

@@ -94,6 +94,13 @@ TEST(RunRecord, PlannerAndDseRecordsCopyCounters)
         EXPECT_NE(report::recordPlanner(models::gpt7b(), sys, 16, other)
                       .fingerprint,
                   plan.fingerprint);
+    // The sweep sets recompute and the ZeRO stage per candidate, so
+    // the run's own values are not.
+    TrainingPlannerOptions recompute = popts;
+    recompute.training.recompute = Recompute::None;
+    EXPECT_EQ(report::recordPlanner(models::gpt7b(), sys, 16, recompute)
+                  .fingerprint,
+              plan.fingerprint);
     TraceSession planner_session;
     popts.trace = &planner_session;
     planTraining(models::gpt7b(), sys, 16, popts);
@@ -121,6 +128,14 @@ TEST(RunRecord, PlannerAndDseRecordsCopyCounters)
               dse.metric("evaluations"));
     EXPECT_EQ(dse.counters.at("dse/best-objective"),
               dse.metric("objective"));
+    // Two DRAMs of one name are told apart by their figures.
+    TechConfig h100_hbm3 = tech;
+    h100_hbm3.dram = dram::hbm3();
+    ASSERT_EQ(h100_hbm3.dram.name, tech.dram.name);
+    EXPECT_NE(report::recordDse(h100_hbm3, objective, dopts,
+                                JsonValue::string("gemm"))
+                  .fingerprint,
+              dse.fingerprint);
 }
 
 TEST(RunRecord, JsonRoundTripIsLossless)

@@ -13,10 +13,9 @@
  * JSON config file (the first positional operand, or --config FILE)
  * whose members are the objects accepted by config/serialize.h; a
  * member present in the file overrides the matching flags. Every
- * command that evaluates a training or inference run, or plans one,
- * resolves it through resolveRun; serve (flags override its config)
- * and dse (its own defaults) do not. Add --json to emit the report as
- * JSON instead of text.
+ * command that evaluates, serves, plans or searches around a training
+ * or inference run resolves it through resolveRun. Add --json to emit
+ * the report as JSON instead of text.
  *
  * Examples:
  *   optimus_cli train --model gpt-175b --system dgx-a100 --nodes 8 \
@@ -28,9 +27,9 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/optimus.h"
@@ -128,6 +127,13 @@ resolveInferenceOptions(const Args &args, const JsonValue &cfg)
             .kvPrecision = precision};
 }
 
+/** True when the config has an inference section. */
+bool
+configuresInference(const JsonValue &cfg)
+{
+    return cfg.isObject() && cfg.has("inference");
+}
+
 /**
  * True for an inference run: --mode (train|infer) decides when given,
  * else a config with an inference section selects inference.
@@ -136,7 +142,7 @@ bool
 inferenceRun(const Args &args, const JsonValue &cfg)
 {
     if (!args.has("mode"))
-        return cfg.isObject() && cfg.has("inference");
+        return configuresInference(cfg);
     const std::string mode = args.get("mode");
     if (mode != "train" && mode != "infer")
         throw ConfigError("unknown --mode value: " + mode);
@@ -195,6 +201,18 @@ const char *
 objectiveName(const Run &run)
 {
     return run.infer ? "inference latency" : "training time per batch";
+}
+
+/** The predicted time of @p run on @p sys: what sensitivity and dse probe. */
+double
+runTime(const Run &run, const System &sys)
+{
+    return run.infer
+               ? evaluateInference(run.model, sys, run.inference)
+                     .totalLatency
+               : evaluateTraining(run.model, sys, run.par, run.batch,
+                                  run.training)
+                     .timePerBatch;
 }
 
 lint::LintReport
@@ -297,31 +315,19 @@ cmdInfer(const Args &args)
 int
 cmdServe(const Args &args)
 {
-    JsonValue cfg = loadConfig(args);
-    TransformerConfig model = resolveModel(args, cfg);
-    System sys = resolveSystem(args, cfg);
-
-    // Serving defaults, then the config's inference section, then
-    // the flags.
-    ServingOptions opts;
-    if (cfg.isObject() && cfg.has("inference")) {
-        const InferenceOptions io = resolveInferenceOptions(args, cfg);
-        opts.tensorParallel = io.tensorParallel;
-        opts.promptLength = io.promptLength;
-        opts.generateLength = io.generateLength;
-        opts.precision = io.precision;
-        opts.kvPrecision = io.kvPrecision;
-    }
-    opts.tensorParallel = args.getInt("tp", opts.tensorParallel);
-    opts.promptLength = args.getInt("prompt", opts.promptLength);
-    opts.generateLength = args.getInt("generate", opts.generateLength);
-    if (args.has("precision")) {
-        opts.precision = parsePrecision(args.get("precision"));
-        // The KV cache follows unless the config sets its precision.
-        if (!(cfg.isObject() && cfg.has("inference") &&
-              cfg.at("inference").has("kvPrecision")))
-            opts.kvPrecision = opts.precision;
-    }
+    const Run run = resolveRun(args, loadConfig(args), true);
+    // The sweep sets the batch itself, and serving has no pipeline.
+    const InferenceOptions &io = run.inference;
+    checkConfig(io.pipelineParallel == 1,
+                "serve has no pipeline parallelism, pipelineParallel " +
+                    std::to_string(io.pipelineParallel) + " given");
+    const ServingOptions opts{.precision = io.precision,
+                              .tensorParallel = io.tensorParallel,
+                              .promptLength = io.promptLength,
+                              .generateLength = io.generateLength,
+                              .flashAttention = io.flashAttention,
+                              .collectiveAlgorithm = io.collectiveAlgorithm,
+                              .kvPrecision = io.kvPrecision};
 
     Table out({"Batch", "tok/s", "req/s", "ms/token", "TTFT (ms)",
                "fits", "$/Mtok"});
@@ -331,7 +337,7 @@ cmdServe(const Args &args)
     for (long long b = 1; b <= max_batch; b *= 2)
         batches.push_back(b);
     const std::vector<ServingPoint> points =
-        servingSweep(model, sys, opts, batches);
+        servingSweep(run.model, run.sys, opts, batches);
 
     ServingCostModel cost;
     const ServingPoint *best = nullptr;
@@ -353,8 +359,8 @@ cmdServe(const Args &args)
             (best == nullptr || pt.tokensPerSecond > best->tokensPerSecond))
             best = &pt;
     }
-    std::cout << model.name << " serving on TP" << opts.tensorParallel
-              << " " << sys.device.name << " ("
+    std::cout << run.model.name << " serving on TP" << opts.tensorParallel
+              << " " << run.sys.device.name << " ("
               << opts.promptLength << "+" << opts.generateLength
               << " tokens)\n\n";
     out.print(std::cout);
@@ -371,15 +377,7 @@ cmdSensitivity(const Args &args)
 {
     const Run run = resolveRun(args);
     std::vector<Sensitivity> rows = analyzeSensitivity(
-        run.sys,
-        [&run](const System &s) {
-            return run.infer
-                       ? evaluateInference(run.model, s, run.inference)
-                             .totalLatency
-                       : evaluateTraining(run.model, s, run.par,
-                                          run.batch, run.training)
-                             .timePerBatch;
-        },
+        run.sys, [&run](const System &s) { return runTime(run, s); },
         static_cast<int>(args.getInt("threads", 0)));
     std::cout << run.model.name << " on " << run.sys.device.name
               << ": elasticity of " << objectiveName(run)
@@ -516,10 +514,8 @@ cmdTrace(const Args &args)
                           .timePerBatch;
     }
 
-    // Surface the exec/tile-cache statistics as trace counters so
-    // sweep tooling reads thread counts and hit rates straight from
-    // the export (--threads is accepted for CLI uniformity; a
-    // single-point evaluation itself runs serially).
+    // Surface the tile-cache statistics as trace counters so sweep
+    // tooling reads hit rates straight from the export.
     TileCacheStats tstats = tileCacheStats();
     session.counterSet("roofline/tile-cache-hits",
                        double(tstats.hits));
@@ -527,10 +523,6 @@ cmdTrace(const Args &args)
                        double(tstats.misses));
     session.counterSet("roofline/tile-cache-hit-rate",
                        tstats.hitRate());
-    session.counterSet(
-        "exec/threads",
-        double(resolveThreads(
-            static_cast<int>(args.getInt("threads", 0)))));
 
     // The trace is a decomposition of the model: span sums per
     // category (kernel-detail spans excluded) must reproduce the
@@ -650,97 +642,40 @@ resolveDramTech(const std::string &name)
     throw ConfigError("unknown --dram value: " + name);
 }
 
-/** DSE problem resolved from flags, shared by `dse` and `record`. */
-struct DseSetup
+/** The search of `dse` and `record --mode dse`: the tech and knobs. */
+std::pair<TechConfig, DseOptions>
+resolveDseSetup(const Args &args)
 {
     TechConfig tech;
-    DeviceObjective objective;
-    std::string label;
+    tech.node = logicNode(args.get("node", "N5"));
+    tech.dram = resolveDramTech(args.get("dram", "hbm3"));
+    tech.areaBudget = args.getNumber("area", tech.areaBudget);
+    tech.powerBudget = args.getNumber("power", tech.powerBudget);
     DseOptions dopts;
-    /** Canonical description of the objective, for RunRecords. */
-    JsonValue objectiveConfig;
-};
+    dopts.gridSteps =
+        static_cast<int>(args.getInt("grid", dopts.gridSteps));
+    dopts.refineRounds =
+        static_cast<int>(args.getInt("rounds", dopts.refineRounds));
+    dopts.threads = static_cast<int>(args.getInt("threads", 0));
+    return {tech, dopts};
+}
 
-/** Resolve the DSE problem whose objective is @p mode (train|infer). */
-DseSetup
-resolveDseSetup(const Args &args, const std::string &mode)
+/** The DSE objective: @p run on its system with the candidate device. */
+DeviceObjective
+dseObjective(const Run &run)
 {
-    DseSetup s;
-    s.tech.node = logicNode(args.get("node", "N5"));
-    s.tech.dram = resolveDramTech(args.get("dram", "hbm3"));
-    s.tech.areaBudget = args.getNumber("area", s.tech.areaBudget);
-    s.tech.powerBudget = args.getNumber("power", s.tech.powerBudget);
-
-    const int gpus = static_cast<int>(args.getInt("gpus-per-node", 8));
-    TransformerConfig model = config::modelPreset(args.get(
-        "model", mode == "infer" ? "llama2-13b" : "gpt-7b"));
-    s.objectiveConfig = JsonValue::object();
-    s.objectiveConfig.set("mode", JsonValue::string(mode));
-    s.objectiveConfig.set("model", JsonValue::string(model.name));
-    s.objectiveConfig.set("gpusPerNode",
-                          JsonValue::number(double(gpus)));
-    if (mode == "infer") {
-        InferenceOptions opts;
-        opts.tensorParallel = args.getInt("tp", 1);
-        opts.batch = args.getInt("batch", 1);
-        opts.promptLength = args.getInt("prompt", 200);
-        opts.generateLength = args.getInt("generate", 200);
-        s.objective = [=](const Device &dev) {
-            System sys = makeSystem(dev, gpus, 1, presets::nvlink4(),
-                                    nettech::gdrX8());
-            return evaluateInference(model, sys, opts).totalLatency;
-        };
-        s.label = model.name + " inference latency";
-        s.objectiveConfig.set("inference", config::toJson(opts));
-    } else if (mode == "train") {
-        const int nodes = static_cast<int>(args.getInt("nodes", 16));
-        ParallelConfig par;
-        par.tensorParallel = args.getInt("tp", 4);
-        par.pipelineParallel = args.getInt("pp", 4);
-        const long long rest =
-            par.tensorParallel * par.pipelineParallel;
-        par.dataParallel = args.getInt(
-            "dp", rest > 0 ? static_cast<long long>(gpus) * nodes / rest
-                           : 1);
-        par.sequenceParallel = par.tensorParallel > 1;
-        long long batch = args.getInt("batch", 512);
-        TrainingOptions topts;
-        topts.recompute = Recompute::Selective;
-        topts.seqLength = args.getInt("seq", 2048);
-        s.objective = [=](const Device &dev) {
-            System sys = makeSystem(dev, gpus, nodes,
-                                    presets::nvlink4(),
-                                    nettech::gdrX8());
-            return evaluateTraining(model, sys, par, batch, topts)
-                .timePerBatch;
-        };
-        s.label = model.name + " training time per batch";
-        s.objectiveConfig.set("nodes",
-                              JsonValue::number(double(nodes)));
-        s.objectiveConfig.set("parallel", config::toJson(par));
-        s.objectiveConfig.set("batch",
-                              JsonValue::number(double(batch)));
-        s.objectiveConfig.set("training", config::toJson(topts));
-    } else {
-        throw ConfigError("unknown --mode value: " + mode);
-    }
-
-    s.dopts.gridSteps =
-        static_cast<int>(args.getInt("grid", s.dopts.gridSteps));
-    s.dopts.refineRounds =
-        static_cast<int>(args.getInt("rounds", s.dopts.refineRounds));
-    s.dopts.threads = static_cast<int>(args.getInt("threads", 0));
-    return s;
+    return [run](const Device &dev) {
+        System sys = run.sys;
+        sys.device = dev;
+        return runTime(run, sys);
+    };
 }
 
 int
 cmdDse(const Args &args)
 {
-    DseSetup setup = resolveDseSetup(args, args.get("mode", "train"));
-    TechConfig &tech = setup.tech;
-    DeviceObjective &objective = setup.objective;
-    std::string &label = setup.label;
-    DseOptions &dopts = setup.dopts;
+    const Run run = resolveRun(args);
+    auto [tech, dopts] = resolveDseSetup(args);
 
     TraceSession session;
     dopts.trace = &session;
@@ -755,14 +690,15 @@ cmdDse(const Args &args)
                       << " evaluations (step " << r.step << ")\n";
         };
 
-    DseResult r = optimizeAllocation(tech, objective, dopts);
+    DseResult r = optimizeAllocation(tech, dseObjective(run), dopts);
     if (verbose)
         std::cout << "\n";
     const Device &d = r.device;
     std::cout << "DSE at " << tech.node.name << " + "
               << tech.dram.name << " (" << tech.areaBudget
               << " mm^2, " << tech.powerBudget
-              << " W), objective: " << label << "\n\n"
+              << " W), objective: " << run.model.name << " "
+              << objectiveName(run) << "\n\n"
               << "  compute area fraction : "
               << r.allocation.computeAreaFraction << "\n"
               << "  compute power fraction: "
@@ -795,12 +731,17 @@ cmdRecord(const Args &args)
             resolvePlannerOptions(args, run),
             args.get("label", run.model.name + " planner"));
     } else if (mode == "dse") {
-        // record's --mode picks dse itself, so the objective takes
-        // dse's default mode.
-        DseSetup setup = resolveDseSetup(args, "train");
-        rec = report::recordDse(setup.tech, setup.objective,
-                                setup.dopts, setup.objectiveConfig,
-                                args.get("label", setup.label));
+        // --mode names the search, so the config picks the run's mode.
+        const JsonValue cfg = loadConfig(args);
+        const Run run = resolveRun(args, cfg, configuresInference(cfg));
+        const auto [tech, dopts] = resolveDseSetup(args);
+        rec = report::recordDse(
+            tech, dseObjective(run), dopts,
+            run.infer ? report::runConfig(run.model, run.sys,
+                                          run.inference)
+                      : report::runConfig(run.model, run.sys, run.par,
+                                          run.batch, run.training),
+            args.get("label", run.model.name + " " + objectiveName(run)));
     } else {
         const Run run = resolveRun(args);
         rec = run.infer
@@ -887,8 +828,8 @@ usage()
         "  infer    --model M --system S [--tp T] [--batch B]\n"
         "           [--prompt P] [--generate G] [--precision P]\n"
         "           [--flash-attention]\n"
-        "  serve    --model M --system S [--tp T] [--prompt P]\n"
-        "           [--generate G] [--precision P] [--max-batch N]\n"
+        "  serve    <config.json> plus the infer flags [--max-batch N]\n"
+        "           sweeps the batch 1, 2, 4 ... N of the infer run\n"
         "  plan     <config.json> plus the train flags [--top K]\n"
         "           [--threads N]; ranks mappings x recompute x ZeRO\n"
         "           {0, the run's stage} under the run's options\n"
@@ -902,23 +843,23 @@ usage()
         "           infer flags - static-check a config without\n"
         "           evaluating it (exit 1 on errors)\n"
         "  trace    <config.json> [--mode train|infer] [--out trace.json]\n"
-        "           [--csv FILE] [--threads N]\n"
+        "           [--csv FILE]\n"
         "           record a Perfetto-loadable timeline of the "
         "modeled run\n"
         "  kernels  <config.json> [--mode train|infer] [--json|--csv]\n"
         "           [--out FILE]\n"
         "           dump the lowered kernel plan (one row per plan\n"
         "           step: identity, repeat count, time, bound/scope)\n"
-        "  dse      [--mode train|infer] [--node N3|N5] [--dram D]\n"
-        "           [--area MM2] [--power W] [--grid N] [--rounds R]\n"
-        "           [--verbose] [--threads N]\n"
-        "           optimize the compute/memory area+power split\n"
+        "  dse      <config.json> plus the train or infer flags [--node N]\n"
+        "           [--dram D] [--area MM2] [--power W] [--grid N]\n"
+        "           [--rounds R] [--verbose] [--threads N]; optimize the\n"
+        "           compute/memory area+power split for the run\n"
         "  record   <config.json> [--mode train|infer|plan|dse]\n"
         "           [--out run.json] [--label NAME]\n"
         "           write a schema-versioned RunRecord ledger entry;\n"
         "           --mode plan records what plan ranks, --mode dse\n"
-        "           takes the dse flags and records the training\n"
-        "           objective\n"
+        "           records what dse searches (an inference section\n"
+        "           makes the run inference)\n"
         "  diff     <a.json> <b.json> [--check] [--tol-pct N] "
         "[--json]\n"
         "           compare two RunRecords; --check exits 1 on drift\n"
@@ -927,11 +868,11 @@ usage()
         "  presets  list built-in presets\n"
         "\n"
         "common flags: <config.json> or --config FILE (JSON, read by\n"
-        "  every command but dse/diff/version/presets; its members\n"
-        "  override the flags above, except for serve),\n"
-        "  --mode train|infer (train/infer/trace/kernels/record/lint/\n"
-        "  sensitivity; without it a config with an inference section\n"
-        "  runs inference), --json (JSON output),\n"
+        "  every command but diff/version/presets; its members\n"
+        "  override the flags above),\n"
+        "  --mode train|infer (trace/kernels/record/lint/sensitivity/\n"
+        "  dse; without it a config with an inference section runs\n"
+        "  inference), --json (JSON output),\n"
         "  --threads N (sweep worker threads; 0 = OPTIMUS_THREADS\n"
         "  env, default 1; results are identical at any count)\n";
     return 2;
