@@ -14,8 +14,9 @@
  * to the second evaluatePlan overload, which runs them through the
  * same step loop as freshly priced ones.
  *
- * The per-token ops of a decode token range (tokenOps) never enter
- * the cache: their contexts almost never repeat.
+ * The per-token ops of a context-dependent decode token range never
+ * enter the cache: their contexts almost never repeat. Each is built
+ * when it is priced, and only its TokenCost and bytes are kept.
  */
 
 #include "plan/plan.h"
@@ -237,18 +238,32 @@ evaluateSteps(KernelPlan plan, const System &sys,
         ev.category = st.category;
         switch (st.kind) {
           case StepKind::Compute: {
-            if (!st.tokenOps.empty()) {
-                // Context-dependent: price every token's op.
-                ev.tokenEsts.reserve(st.tokenOps.size());
-                for (const Op &op : st.tokenOps) {
-                    KernelEstimate est = evaluateOp(ep.dev, op);
-                    est.kernel = op.name;
+            if (st.contextDependent) {
+                // Build and price every token's op; keep its costs.
+                const size_t n = size_t(st.repeatToken);
+                ev.tokens.reserve(n);
+                ev.tokenBytes.reserve(n * ep.dev.mem.size());
+                for (long long t = 0; t < st.repeatToken; ++t) {
+                    const Op op =
+                        st.attention.op(st.attentionOp, st.context + t);
+                    const KernelEstimate est = evaluateOp(ep.dev, op);
                     ev.total += est.time * instances;
-                    ev.tokenEsts.push_back(std::move(est));
+                    TokenCost c;
+                    c.time = est.time;
+                    c.overhead = est.overhead;
+                    c.flops = est.flops;
+                    c.dramTime = est.memTimePerLevel[0];
+                    c.boundLevel = est.boundLevel;
+                    if (st.bucketByBound)
+                        c.bucket = boundBucket(op, est);
+                    ev.tokens.push_back(c);
+                    ev.tokenBytes.insert(ev.tokenBytes.end(),
+                                         est.bytesPerLevel.begin(),
+                                         est.bytesPerLevel.end());
                 }
                 ev.perInstance = ev.total / (instances * tokens);
                 if (st.bucketByBound) {
-                    ev.bucket = boundBucket(st.tokenOps[0], ev.tokenEsts[0]);
+                    ev.bucket = ev.tokens[0].bucket;
                     ev.category = boundCategory(st.phase, ev.bucket);
                 }
                 break;

@@ -48,25 +48,18 @@ forEachStepToken(const KernelPlan &kp, Fn &&fn)
     }
 }
 
-/** Compute estimate of token @p t of a compute step. */
-const KernelEstimate &
-tokenEstimate(const PlanStep &st, const StepEval &ev, long long t)
-{
-    return st.tokenOps.empty() ? ev.partEsts[0] : ev.tokenEsts[t];
-}
-
 /** Seconds per (microbatch, layer) instance of token @p t. */
 double
 tokenPerInstance(const PlanStep &st, const StepEval &ev, long long t)
 {
-    return st.tokenOps.empty() ? ev.perInstance : ev.tokenEsts[t].time;
+    return st.contextDependent ? ev.tokens[t].time : ev.perInstance;
 }
 
 /** True when every token of @p st is bucketed by its own bound. */
 bool
 bucketsPerToken(const PlanStep &st)
 {
-    return !st.tokenOps.empty() && st.bucketByBound;
+    return st.contextDependent && st.bucketByBound;
 }
 
 /** A step's category per BoundBucket. */
@@ -92,24 +85,34 @@ tokenCategory(const PlanStep &st, const StepEval &ev,
 {
     if (!bucketsPerToken(st))
         return ev.category;
-    return cats[size_t(boundBucket(st.tokenOps[t], ev.tokenEsts[t]))];
+    return cats[size_t(ev.tokens[t].bucket)];
 }
 
 /**
  * Instance span of token @p t of a step (coordinates stamped by the
- * caller).
+ * caller). A bucketByBound step's span carries kernel detail: its
+ * part estimate, or token t's cost and bytes.
  */
 TraceSpan
 instanceSpan(const Device &dev, const PlanStep &st, const StepEval &ev,
              const BucketCategories &cats, long long t)
 {
-    if (st.bucketByBound)
-        return kernelSpan(dev, st.name, tokenCategory(st, ev, cats, t),
-                          tokenEstimate(st, ev, t));
+    const std::string &category = tokenCategory(st, ev, cats, t);
+    if (st.bucketByBound && !st.contextDependent)
+        return kernelSpan(dev, st.name, category, ev.partEsts[0]);
     TraceSpan s;
     s.name = st.name;
-    s.category = ev.category;
+    s.category = category;
     s.duration = tokenPerInstance(st, ev, t);
+    if (st.bucketByBound) {
+        const TokenCost &c = ev.tokens[t];
+        const size_t levels = dev.mem.size();
+        const auto bytes = ev.tokenBytes.begin() + t * levels;
+        s.flops = c.flops;
+        s.bytesPerLevel.assign(bytes, bytes + levels);
+        s.overhead = c.overhead;
+        s.bound = boundLevelName(dev, c.boundLevel);
+    }
     return s;
 }
 
@@ -283,18 +286,23 @@ foldInference(const EvaluatedPlan &ep, TraceSession *trace)
         const double inst = instances(st);
         const double total = tokenPerInstance(st, ev, t) * inst;
         if (st.kind == StepKind::Compute) {
-            const KernelEstimate &est = tokenEstimate(st, ev, t);
             r.time += total;
-            r.overheadTime += est.overhead * inst;
-            if (!est.memTimePerLevel.empty())
-                r.memoryTime += est.memTimePerLevel[0] * inst;
+            BoundBucket b = ev.bucket;
+            if (st.contextDependent) {
+                const TokenCost &c = ev.tokens[t];
+                r.overheadTime += c.overhead * inst;
+                r.memoryTime += c.dramTime * inst;
+                b = c.bucket;
+            } else {
+                const KernelEstimate &est = ev.partEsts[0];
+                r.overheadTime += est.overhead * inst;
+                if (!est.memTimePerLevel.empty())
+                    r.memoryTime += est.memTimePerLevel[0] * inst;
+            }
             // Bound-type buckets include each kernel's launch
             // overhead, as in the paper's per-kernel accounting (a
             // 3 us per-head attention kernel counts as memory-bound
             // time even though its cost is launch-dominated).
-            const BoundBucket b = bucketsPerToken(st)
-                                      ? boundBucket(st.tokenOps[t], est)
-                                      : ev.bucket;
             r.*bucketField(b) += total;
         } else if (st.kind == StepKind::Collective) {
             r.commTime += total;

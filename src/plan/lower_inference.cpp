@@ -6,7 +6,8 @@
  * layers). Decode lowers to one token-range step per op covering every
  * generated token, with the L layers aggregated into a single span per
  * token — the historical decode-lane shape. Only the attention ops
- * read the growing KV cache, so only they carry one op per token.
+ * read the growing KV cache, so only they are priced per token, from
+ * the attention builder and context their step keeps.
  * lowerPrefill and lowerDecodeTokens are the one prefill and decode-step
  * lowerings: the serving and speculative models price through them.
  * All TP/PP communication scopes go through groupScopeFor(), so a TP
@@ -56,22 +57,22 @@ lowerDecodeTokens(const TransformerConfig &cfg, const System &sys,
         steps.push_back(std::move(s));
     }
 
-    // The context-dependent steps price one op per token of the range.
+    // The context-dependent steps keep the attention builder and
+    // their first token's context; evaluation builds each token's op.
     if (count > 1) {
-        std::vector<PlanStep *> attention;
-        for (const Op &op : decodeAttentionOps(cfg, opts.batch, context,
-                                               tp, opts.kvPrecision))
+        const DecodeAttention attention =
+            decodeAttention(cfg, opts.batch, tp, opts.kvPrecision);
+        for (int k = 0; k < DecodeAttention::kOps; ++k) {
+            const auto kind = DecodeAttention::Kind(k);
+            const std::string name = attention.op(kind, context).name;
             for (size_t i = group_begin; i < steps.size(); ++i)
-                if (steps[i].name == op.name) {
+                if (steps[i].name == name) {
                     steps[i].parts.clear();
-                    steps[i].tokenOps.reserve(size_t(count));
-                    attention.push_back(&steps[i]);
+                    steps[i].contextDependent = true;
+                    steps[i].attention = attention;
+                    steps[i].attentionOp = kind;
+                    steps[i].context = context;
                 }
-        for (long long t = 0; t < count; ++t) {
-            std::vector<Op> ops = decodeAttentionOps(
-                cfg, opts.batch, context + t, tp, opts.kvPrecision);
-            for (size_t j = 0; j < ops.size(); ++j)
-                attention[j]->tokenOps.push_back(std::move(ops[j]));
         }
     }
 

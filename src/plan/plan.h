@@ -133,12 +133,16 @@ struct PlanStep
     std::vector<ComputePart> parts;
     PartCombine combine = PartCombine::Sum;
     /**
-     * Context-dependent token-range steps: one op per token of the
-     * range, priced one by one, in place of parts (which is then
-     * empty). Empty on every other step, whose parts are priced once
-     * and shared by all repeatToken tokens.
+     * A context-dependent token-range step: token t of the range is
+     * attention.op(attentionOp, context + t), built and priced one
+     * token at a time in place of parts (which is then empty). False
+     * on every other step, whose parts are priced once and shared by
+     * all repeatToken tokens.
      */
-    std::vector<Op> tokenOps;
+    bool contextDependent = false;
+    DecodeAttention attention;  ///< fixed inputs of the per-token op
+    DecodeAttention::Kind attentionOp = DecodeAttention::QkT;
+    long long context = 0;      ///< context of the range's first token
 
     // ---- Collective payload -----------------------------------------
     CollectiveKind collective = CollectiveKind::AllReduce;
@@ -209,23 +213,49 @@ struct EvaluateOptions
 /** The inference PhaseReport kernel buckets. */
 enum class BoundBucket { GemmCompute, GemmMemory, Other };
 
+/**
+ * What the folders, summarizePlan and the trace read of one token's
+ * estimate in a context-dependent step (its bytes per memory level
+ * live in StepEval::tokenBytes).
+ */
+struct TokenCost
+{
+    double time = 0.0;      ///< seconds per (microbatch, layer) instance
+    double overhead = 0.0;  ///< kernel-launch overhead
+    double flops = 0.0;
+    double dramTime = 0.0;  ///< DRAM transfer time (memTimePerLevel[0])
+    int boundLevel = -1;    ///< KernelEstimate::boundLevel
+    /** Bound bucket (bucketByBound steps; Other otherwise). */
+    BoundBucket bucket = BoundBucket::Other;
+};
+
 /** Evaluation result of one step. */
 struct StepEval
 {
     /**
      * Seconds per (microbatch, layer) instance of one token; the mean
-     * over the range for a tokenOps step.
+     * over the range for a contextDependent step.
      */
     double perInstance = 0.0;
     /** All instances of all tokens (or the synthetic value). */
     double total = 0.0;
-    /** Resolved (bucketByBound applied); a tokenOps step's first token. */
+    /**
+     * Resolved (bucketByBound applied); a contextDependent step's
+     * first token.
+     */
     std::string category;
     /** The bound bucket behind a bucketByBound category. */
     BoundBucket bucket = BoundBucket::Other;
     std::vector<KernelEstimate> partEsts;  ///< one per ComputePart
-    std::vector<KernelEstimate> tokenEsts; ///< one per tokenOps entry
     std::vector<KernelEstimate> opEsts;    ///< per-op detail of parts[0]
+    /** One per token of a contextDependent step; empty otherwise. */
+    std::vector<TokenCost> tokens;
+    /**
+     * Bytes per memory level of those tokens, token-major: token t's
+     * level l is at t * levels + l, with levels the device's
+     * mem.size().
+     */
+    std::vector<double> tokenBytes;
     CollectiveResult coll;     ///< collective steps only
 };
 
@@ -288,9 +318,10 @@ void lowerPrefill(const TransformerConfig &cfg, const System &sys,
  * the decodeLayerOps (each aggregated over the L layers), the
  * per-layer TP all-reduce scoped by groupScopeFor, and the sampling
  * head. Token t attends over context opts.promptLength + t + 1. With
- * count > 1 the decodeAttentionOps steps carry one tokenOps entry per
- * token; every other step is context-invariant and is lowered once.
- * With count == 1 every step is a plain one-token step.
+ * count > 1 the three DecodeAttention steps are contextDependent and
+ * keep only the builder and their first token's context; every other
+ * step is context-invariant and is lowered once. With count == 1
+ * every step is a plain one-token step.
  * lowerInference calls it once for all generated tokens; the serving
  * and speculative models price one decode step with count == 1.
  * Input: lint::lintInferenceGate.
@@ -303,7 +334,8 @@ void lowerDecodeTokens(const TransformerConfig &cfg, const System &sys,
 
 /**
  * Map every step through the roofline / collective models. A
- * tokenOps step is priced once per token; every other step once.
+ * contextDependent step builds and prices each token's op and keeps
+ * its TokenCost and bytes; every other step is priced once.
  * The plan keeps no memo of its own: compute parts are memoized only
  * through the caller's opts.cache, when one is given.
  */
@@ -465,9 +497,9 @@ struct StepSummary
 
 /**
  * Summarize every step of an evaluated plan, in plan order: one row
- * per step, so one row per decode op for a token range. A tokenOps
- * row sums its work over the tokens; its category and detail are
- * those of the range's first token.
+ * per step, so one row per decode op for a token range. A
+ * contextDependent row sums its work over the tokens; its category
+ * and detail are those of the range's first token.
  */
 std::vector<StepSummary> summarizePlan(const EvaluatedPlan &ep);
 

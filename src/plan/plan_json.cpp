@@ -72,15 +72,15 @@ summarizePlan(const EvaluatedPlan &ep)
             r.kind = "compute";
             const double inst =
                 double(st.repeatLayer) * double(st.repeatMicrobatch);
-            if (!st.tokenOps.empty()) {
+            if (st.contextDependent) {
                 // Each token's op does its own work.
-                for (const KernelEstimate &est : ev.tokenEsts) {
-                    r.flops += est.flops * inst;
-                    if (!est.bytesPerLevel.empty())
-                        r.dramBytes += est.bytesPerLevel[0] * inst;
-                    r.overhead += est.overhead * inst;
+                const size_t levels = ep.dev.mem.size();
+                for (size_t t = 0; t < ev.tokens.size(); ++t) {
+                    r.flops += ev.tokens[t].flops * inst;
+                    r.dramBytes += ev.tokenBytes[t * levels] * inst;
+                    r.overhead += ev.tokens[t].overhead * inst;
                 }
-                r.detail = ev.tokenEsts[0].boundName(ep.dev);
+                r.detail = boundLevelName(ep.dev, ev.tokens[0].boundLevel);
                 break;
             }
             // Under Max only the winning part runs on the critical

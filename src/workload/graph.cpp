@@ -1,5 +1,6 @@
 #include "workload/graph.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "roofline/stream.h"
@@ -283,32 +284,43 @@ decodeLayerOps(const TransformerConfig &cfg, long long batch,
                           precision, precision);
 }
 
-std::vector<Op>
-decodeAttentionOps(const TransformerConfig &cfg, long long batch,
-                   long long context, long long tensor_parallel,
-                   Precision kv_precision)
+DecodeAttention
+decodeAttention(const TransformerConfig &cfg, long long batch,
+                long long tensor_parallel, Precision kv_precision)
 {
-    const long long hd = cfg.headDim();
-    const long long heads_local = cfg.numHeads / tensor_parallel;
-    const long long kv_local =
+    DecodeAttention a;
+    a.batch = batch;
+    a.headsLocal = cfg.numHeads / tensor_parallel;
+    a.kvHeadsLocal =
         std::max<long long>(1, cfg.numKvHeads / tensor_parallel);
+    a.headDim = cfg.headDim();
+    a.slidingWindow = cfg.slidingWindow;
+    a.kvPrecision = kv_precision;
+    return a;
+}
+
+Op
+DecodeAttention::op(Kind kind, long long context) const
+{
     // Sliding-window attention bounds the readable cache.
-    const long long span = cfg.attentionSpan(context);
+    const long long span = attentionSpan(context, slidingWindow);
 
     // Attention over the cache: the group's queries [g, hd] hit the
     // shared K^T[hd, ctx] per KV head (the cache streams once per
     // group, the GQA bandwidth saving).
-    const long long group = heads_local / kv_local;
-    std::vector<Op> ops;
-    ops.reserve(3);
-    ops.push_back(gemmOp("qk^T", group, span, hd, kv_precision,
-                         batch * kv_local));
-    ops.push_back(softmaxOp("attn-softmax",
-                            double(batch) * heads_local,
-                            double(span)));
-    ops.push_back(gemmOp("attn-v", group, hd, span, kv_precision,
-                         batch * kv_local));
-    return ops;
+    const long long group = headsLocal / kvHeadsLocal;
+    switch (kind) {
+      case QkT:
+        return gemmOp("qk^T", group, span, headDim, kvPrecision,
+                      batch * kvHeadsLocal);
+      case Softmax:
+        return softmaxOp("attn-softmax", double(batch) * headsLocal,
+                         double(span));
+      case AttnV:
+        break;
+    }
+    return gemmOp("attn-v", group, headDim, span, kvPrecision,
+                  batch * kvHeadsLocal);
 }
 
 std::vector<Op>
@@ -335,9 +347,10 @@ decodeLayerOps(const TransformerConfig &cfg, long long batch,
                                 double(batch) * 2.0 * kv_local * hd,
                                 0.0, true));
 
-    for (Op &op : decodeAttentionOps(cfg, batch, context, t,
-                                     kv_precision))
-        ops.push_back(std::move(op));
+    const DecodeAttention attention =
+        decodeAttention(cfg, batch, t, kv_precision);
+    for (int k = 0; k < DecodeAttention::kOps; ++k)
+        ops.push_back(attention.op(DecodeAttention::Kind(k), context));
 
     ops.push_back(gemmOp("attn-out", batch, h, heads_local * hd,
                          precision));

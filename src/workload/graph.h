@@ -134,15 +134,40 @@ std::vector<Op> decodeLayerOps(const TransformerConfig &cfg,
                                Precision kv_precision);
 
 /**
- * The context-dependent part of decodeLayerOps: the qk^T, attn-softmax
- * and attn-v ops over @p context cached tokens, the entries
- * decodeLayerOps holds between kv-append and attn-out. Every other
- * decode op is the same at any context. Input: lintInferenceGate.
+ * The decode-attention builder: the qk^T, attn-softmax and attn-v ops
+ * of one layer generating one token per sequence over the KV cache,
+ * which decodeLayerOps holds between kv-append and attn-out. They are
+ * the only decode ops whose shape depends on the context. The struct
+ * holds the inputs that stay fixed for a whole generation, so a
+ * decode token range keeps one and builds each token's op from its
+ * context. Building an op allocates nothing.
  */
-std::vector<Op> decodeAttentionOps(const TransformerConfig &cfg,
-                                   long long batch, long long context,
-                                   long long tensor_parallel,
-                                   Precision kv_precision);
+struct DecodeAttention
+{
+    /** The three ops, in layer order. */
+    enum Kind { QkT, Softmax, AttnV };
+    static constexpr int kOps = 3;
+
+    long long batch = 1;
+    long long headsLocal = 1;    ///< query heads on one TP shard
+    long long kvHeadsLocal = 1;  ///< KV heads on one TP shard
+    long long headDim = 1;
+    long long slidingWindow = 0; ///< TransformerConfig::slidingWindow
+    Precision kvPrecision = Precision::FP16;
+
+    /** Op @p kind of a token attending over @p context cached tokens. */
+    Op op(Kind kind, long long context) const;
+};
+
+/**
+ * The decode-attention inputs of @p cfg sharded @p tensor_parallel
+ * ways, with the KV cache stored as @p kv_precision.
+ * Input: lint::lintInferenceGate.
+ */
+DecodeAttention decodeAttention(const TransformerConfig &cfg,
+                                long long batch,
+                                long long tensor_parallel,
+                                Precision kv_precision);
 
 /** LM head ops for @p tokens positions (input: either lint gate). */
 std::vector<Op> headOps(const TransformerConfig &cfg, long long tokens,

@@ -14,11 +14,11 @@ TransformerConfig::headDim() const
 }
 
 long long
-TransformerConfig::attentionSpan(long long context) const
+attentionSpan(long long context, long long sliding_window)
 {
-    if (slidingWindow <= 0)
+    if (sliding_window <= 0)
         return context;
-    return std::min(context, slidingWindow);
+    return std::min(context, sliding_window);
 }
 
 double

@@ -20,6 +20,12 @@ enum class MlpKind {
     SwiGlu,        ///< Llama style: gate+up (h -> f twice), down (f -> h)
 };
 
+/**
+ * Tokens a query attends over at @p context cached tokens: all of
+ * them, or at most @p sliding_window when it is positive.
+ */
+long long attentionSpan(long long context, long long sliding_window);
+
 /** Decoder-only transformer architecture. */
 struct TransformerConfig
 {
@@ -48,7 +54,10 @@ struct TransformerConfig
     long long slidingWindow = 0;
 
     /** Attention span for a given context length. */
-    long long attentionSpan(long long context) const;
+    long long attentionSpan(long long context) const
+    {
+        return optimus::attentionSpan(context, slidingWindow);
+    }
 
     /** Per-head dimension. */
     long long headDim() const;

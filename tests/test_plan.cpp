@@ -7,12 +7,16 @@
  * group-scope convention is honored at its boundary (including the
  * inference per-layer TP all-reduce, which used to be pinned
  * intra-node), and a token-range decode plan evaluates and folds
- * bit-identically to one step per (token, op).
+ * bit-identically to one step per (token, op) and lowers with the
+ * same number of allocations at any generation length.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -20,13 +24,78 @@
 #include "exec/exec.h"
 #include "hw/presets.h"
 #include "inference/engine.h"
+#include "lint/lint.h"
 #include "plan/plan.h"
 #include "roofline/gemm.h"
 #include "trace/trace.h"
 #include "workload/presets.h"
 
+namespace {
+
+/** Heap allocations counted while g_countAllocations is set. */
+std::atomic<long long> g_allocations{0};
+std::atomic<bool> g_countAllocations{false};
+
+} // namespace
+
+// This test binary's global allocation functions count allocations
+// and forward to malloc/free, so sanitizer builds still track them.
+// The deallocation functions stay out of line: inlined, GCC would
+// see free() called on operator new's result and warn.
+void *
+operator new(std::size_t n)
+{
+    if (g_countAllocations.load(std::memory_order_relaxed))
+        g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n == 0 ? 1 : n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t n)
+{
+    return ::operator new(n);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
 namespace optimus {
 namespace {
+
+/** Heap allocations @p fn makes on this thread and any other. */
+template <typename Fn>
+long long
+allocationsIn(Fn &&fn)
+{
+    g_allocations = 0;
+    g_countAllocations = true;
+    fn();
+    g_countAllocations = false;
+    return g_allocations;
+}
 
 void
 expectNearRel(double expected, double actual, double rel)
@@ -367,7 +436,7 @@ expectTokenRangesMatchPerTokenPlan(const TransformerConfig &cfg,
     plan::KernelPlan ref_kp = perTokenPlan(kp, cfg, sys, opts);
     for (const plan::PlanStep &st : ref_kp.steps) {
         EXPECT_EQ(1, st.repeatToken);
-        EXPECT_TRUE(st.tokenOps.empty());
+        EXPECT_FALSE(st.contextDependent);
     }
     if (opts.generateLength > 1) {
         EXPECT_LT(kp.steps.size(), ref_kp.steps.size());
@@ -483,13 +552,40 @@ TEST(TokenRangeDecode, PlanSizeIndependentOfGeneratedTokens)
 
     size_t per_token_steps = 0;
     for (const plan::PlanStep &st : k4096.steps) {
-        if (st.tokenOps.empty())
+        if (!st.contextDependent)
             continue;
         ++per_token_steps;
-        EXPECT_EQ(4096u, st.tokenOps.size()) << st.name;
+        EXPECT_EQ(4096, st.repeatToken) << st.name;
+        EXPECT_EQ(128 + 1, st.context) << st.name;
+        EXPECT_EQ(st.name,
+                  st.attention.op(st.attentionOp, st.context).name);
         EXPECT_TRUE(st.parts.empty()) << st.name;
     }
     EXPECT_EQ(3u, per_token_steps);  // qk^T, attn-softmax, attn-v
+}
+
+TEST(TokenRangeDecode, LoweringAllocationsIndependentOfGeneratedTokens)
+{
+    // A token range keeps its first token's context, not one op per
+    // token, so lowering allocates the same at any generation length.
+    // The lint gate it runs first is not counted: past the model's
+    // 4,096-token maxSeqLength it adds a warning.
+    TransformerConfig cfg = models::llama2_13b();
+    System sys = presets::dgxA100(1);
+    auto lowering = [&](long long generate) {
+        const InferenceOptions opts = decodeOptions(generate);
+        return allocationsIn([&] {
+                   plan::KernelPlan kp =
+                       plan::lowerInference(cfg, sys, opts);
+               }) -
+               allocationsIn([&] {
+                   lint::LintReport r =
+                       lint::lintInferenceGate(cfg, sys, opts);
+               });
+    };
+    const long long at64 = lowering(64);
+    EXPECT_GT(at64, 0);
+    EXPECT_EQ(at64, lowering(4096));
 }
 
 TEST(TokenRangeDecode, NoTileSearchPerToken)

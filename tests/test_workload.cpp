@@ -292,9 +292,9 @@ expectSameOp(const Op &a, const Op &b)
 
 TEST(DecodeGraph, OnlyAttentionOpsDependOnContext)
 {
-    // The token-range decode lowering prices every decode op but
-    // decodeAttentionOps once per generation; this is the invariance
-    // it relies on.
+    // The token-range decode lowering prices every decode op but the
+    // DecodeAttention ones once per generation; this is the
+    // invariance it relies on.
     for (const TransformerConfig &cfg :
          {models::llama2_7b(), models::llama2_70b(),
           models::mixtral8x7b()}) {
@@ -309,8 +309,12 @@ TEST(DecodeGraph, OnlyAttentionOpsDependOnContext)
         for (long long context : {1LL, 8192LL}) {
             const std::vector<Op> &layer =
                 context == 1 ? short_ctx : long_ctx;
-            std::vector<Op> attn = decodeAttentionOps(
-                cfg, 4, context, tp, Precision::FP8);
+            const DecodeAttention builder =
+                decodeAttention(cfg, 4, tp, Precision::FP8);
+            std::vector<Op> attn;
+            for (int k = 0; k < DecodeAttention::kOps; ++k)
+                attn.push_back(
+                    builder.op(DecodeAttention::Kind(k), context));
             ASSERT_EQ(3u, attn.size());
             EXPECT_EQ("qk^T", attn[0].name);
             EXPECT_EQ("attn-softmax", attn[1].name);

@@ -14,8 +14,9 @@
  * whose members are the objects accepted by config/serialize.h; a
  * member present in the file overrides the matching flags. Every
  * command that evaluates, serves, plans or searches around a training
- * or inference run resolves it through resolveRun. Add --json to emit
- * the report as JSON instead of text.
+ * or inference run resolves it through resolveRun. A flag that no
+ * command reads, or a config file that is not a JSON object, is an
+ * error. Add --json to emit the report as JSON instead of text.
  *
  * Examples:
  *   optimus_cli train --model gpt-175b --system dgx-a100 --nodes 8 \
@@ -40,6 +41,26 @@ namespace {
 
 using Args = Flags;
 
+/** Every flag some command reads; any other flag is an error. */
+const char *const kFlags[] = {
+    "area", "batch", "check", "config", "csv", "dp", "dram",
+    "flash-attention", "generate", "grid", "interleave", "json",
+    "label", "max-batch", "microbatch", "mode", "model", "node",
+    "nodes", "out", "power", "pp", "precision", "prompt", "recompute",
+    "rounds", "seq", "sp", "system", "threads", "tol-pct", "top", "tp",
+    "verbose", "version", "zero",
+};
+
+/** Reject a flag that no command reads (a typo or a removed flag). */
+void
+checkKnownFlags(const Args &args)
+{
+    for (const auto &kv : args.all())
+        if (std::find(std::begin(kFlags), std::end(kFlags), kv.first) ==
+            std::end(kFlags))
+            throw ConfigError("unknown flag --" + kv.first);
+}
+
 /** The config file: the first positional operand, else --config. */
 std::string
 configPath(const Args &args)
@@ -48,7 +69,10 @@ configPath(const Args &args)
                                       : args.positionals().front();
 }
 
-/** The parsed config file, or an empty object when none is given. */
+/**
+ * The parsed config file, or an empty object when none is given. A
+ * file whose top level is not an object is a ConfigError.
+ */
 JsonValue
 loadConfig(const Args &args)
 {
@@ -59,13 +83,16 @@ loadConfig(const Args &args)
     checkConfig(in.good(), "cannot open config file " + path);
     std::stringstream ss;
     ss << in.rdbuf();
-    return JsonValue::parse(ss.str());
+    JsonValue cfg = JsonValue::parse(ss.str());
+    checkConfig(cfg.isObject(),
+                "config file " + path + " is not a JSON object");
+    return cfg;
 }
 
 TransformerConfig
 resolveModel(const Args &args, const JsonValue &cfg)
 {
-    if (cfg.isObject() && cfg.has("model"))
+    if (cfg.has("model"))
         return config::modelFromJson(cfg.at("model"));
     return config::modelPreset(args.get("model", "gpt-175b"));
 }
@@ -73,7 +100,7 @@ resolveModel(const Args &args, const JsonValue &cfg)
 System
 resolveSystem(const Args &args, const JsonValue &cfg)
 {
-    if (cfg.isObject() && cfg.has("system"))
+    if (cfg.has("system"))
         return config::systemFromJson(cfg.at("system"));
     return config::systemPreset(
         args.get("system", "dgx-a100"),
@@ -83,7 +110,7 @@ resolveSystem(const Args &args, const JsonValue &cfg)
 ParallelConfig
 resolveParallel(const Args &args, const JsonValue &cfg)
 {
-    if (cfg.isObject() && cfg.has("parallel"))
+    if (cfg.has("parallel"))
         return config::parallelFromJson(cfg.at("parallel"));
     ParallelConfig par;
     par.dataParallel = args.getInt("dp", 1);
@@ -100,7 +127,7 @@ resolveParallel(const Args &args, const JsonValue &cfg)
 TrainingOptions
 resolveTrainingOptions(const Args &args, const JsonValue &cfg)
 {
-    if (cfg.isObject() && cfg.has("training"))
+    if (cfg.has("training"))
         return config::trainingOptionsFromJson(cfg.at("training"));
     return {.precision = parsePrecision(args.get("precision", "fp16")),
             .recompute = parseRecompute(args.get("recompute", "full")),
@@ -112,7 +139,7 @@ resolveTrainingOptions(const Args &args, const JsonValue &cfg)
 InferenceOptions
 resolveInferenceOptions(const Args &args, const JsonValue &cfg)
 {
-    if (cfg.isObject() && cfg.has("inference"))
+    if (cfg.has("inference"))
         return config::inferenceOptionsFromJson(cfg.at("inference"));
     const Precision precision =
         parsePrecision(args.get("precision", "fp16"));
@@ -131,7 +158,7 @@ resolveInferenceOptions(const Args &args, const JsonValue &cfg)
 bool
 configuresInference(const JsonValue &cfg)
 {
-    return cfg.isObject() && cfg.has("inference");
+    return cfg.has("inference");
 }
 
 /**
@@ -179,7 +206,7 @@ resolveRun(const Args &args, const JsonValue &cfg, bool infer)
         // Given only TP/PP, the data-parallel degree fills the system.
         const long long rest =
             run.par.tensorParallel * run.par.pipelineParallel;
-        if (!args.has("dp") && !(cfg.isObject() && cfg.has("parallel")) &&
+        if (!args.has("dp") && !cfg.has("parallel") &&
             rest > 0 && run.sys.totalDevices() % rest == 0)
             run.par.dataParallel = run.sys.totalDevices() / rest;
         run.batch = args.getInt("batch", 64);
@@ -885,6 +912,7 @@ main(int argc, char **argv)
 {
     try {
         Args args = Flags::parse(argc, argv);
+        checkKnownFlags(args);
         if (args.command() == "train")
             return cmdTrain(args);
         if (args.command() == "infer")
