@@ -202,20 +202,6 @@ planTraining(const TransformerConfig &model, const System &sys,
     return plans;
 }
 
-TrainingPlan
-bestTrainingPlan(const TransformerConfig &model, const System &sys,
-                 long long global_batch,
-                 const TrainingPlannerOptions &opts)
-{
-    std::vector<TrainingPlan> plans =
-        planTraining(model, sys, global_batch, opts);
-    checkConfig(!plans.empty(),
-                "no parallelization of " + model.name + " fits " +
-                    sys.device.name + " memory at batch " +
-                    std::to_string(global_batch));
-    return plans.front();
-}
-
 std::vector<ServingPlan>
 planServing(const TransformerConfig &model, const System &sys,
             const ServingPlannerOptions &opts)

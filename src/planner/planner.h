@@ -72,11 +72,6 @@ std::vector<TrainingPlan> planTraining(
     const TransformerConfig &model, const System &sys,
     long long global_batch, const TrainingPlannerOptions &opts = {});
 
-/** The fastest fitting plan; throws ConfigError when none fits. */
-TrainingPlan bestTrainingPlan(const TransformerConfig &model,
-                              const System &sys, long long global_batch,
-                              const TrainingPlannerOptions &opts = {});
-
 /** Search-space switches for the serving planner. */
 struct ServingPlannerOptions
 {

@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 
+#include "config/run.h"
 #include "config/serialize.h"
 #include "exec/exec.h"
 #include "plan/plan.h"
@@ -257,31 +258,6 @@ loadRunRecord(const std::string &path)
     return recordFromJson(JsonValue::parse(ss.str()));
 }
 
-JsonValue
-runConfig(const TransformerConfig &model, const System &sys,
-          const ParallelConfig &par, long long global_batch,
-          const TrainingOptions &opts)
-{
-    JsonValue config = JsonValue::object();
-    config.set("model", config::toJson(model));
-    config.set("system", config::toJson(sys));
-    config.set("parallel", config::toJson(par));
-    config.set("batch", JsonValue::number(double(global_batch)));
-    config.set("training", config::toJson(opts));
-    return config;
-}
-
-JsonValue
-runConfig(const TransformerConfig &model, const System &sys,
-          const InferenceOptions &opts)
-{
-    JsonValue config = JsonValue::object();
-    config.set("model", config::toJson(model));
-    config.set("system", config::toJson(sys));
-    config.set("inference", config::toJson(opts));
-    return config;
-}
-
 RunRecord
 recordTraining(const TransformerConfig &model, const System &sys,
                const ParallelConfig &par, long long global_batch,
@@ -289,7 +265,8 @@ recordTraining(const TransformerConfig &model, const System &sys,
 {
     RunRecord rec = beginRecord(
         "training", label,
-        runConfig(model, sys, par, global_batch, opts));
+        config::toJson(Run{.model = model, .sys = sys, .par = par,
+                           .batch = global_batch, .training = opts}));
     rec.threads = resolveThreads();
 
     // The recorder reads kernel aggregates and counters straight off
@@ -339,8 +316,10 @@ RunRecord
 recordInference(const TransformerConfig &model, const System &sys,
                 InferenceOptions opts, const std::string &label)
 {
-    RunRecord rec =
-        beginRecord("inference", label, runConfig(model, sys, opts));
+    RunRecord rec = beginRecord(
+        "inference", label,
+        config::toJson(Run{.model = model, .sys = sys, .infer = true,
+                           .inference = opts}));
     rec.threads = resolveThreads();
 
     // The recorder reads kernel aggregates and counters straight off

@@ -114,22 +114,13 @@ RunRecord loadRunRecord(const std::string &path);
 // private TraceSession. `threads` follows the exec-layer convention
 // (0 = OPTIMUS_THREADS env, default 1).
 
-/** The canonical config of a training run, as recordTraining's. */
-JsonValue runConfig(const TransformerConfig &model, const System &sys,
-                    const ParallelConfig &par, long long global_batch,
-                    const TrainingOptions &opts);
-
-/** The canonical config of an inference run, as recordInference's. */
-JsonValue runConfig(const TransformerConfig &model, const System &sys,
-                    const InferenceOptions &opts);
-
-/** Record one training evaluation. */
+/** Record one training evaluation; its config is the run's config::toJson. */
 RunRecord recordTraining(const TransformerConfig &model,
                          const System &sys, const ParallelConfig &par,
                          long long global_batch, TrainingOptions opts,
                          const std::string &label = "training");
 
-/** Record one inference evaluation. */
+/** Record one inference evaluation; its config is the run's config::toJson. */
 RunRecord recordInference(const TransformerConfig &model,
                           const System &sys, InferenceOptions opts,
                           const std::string &label = "inference");
@@ -142,7 +133,8 @@ RunRecord recordPlanner(const TransformerConfig &model,
 
 /**
  * Record a DSE search (metrics describe the optimized design);
- * @p objective_config describes the objective, e.g. a runConfig.
+ * @p objective_config describes the objective, e.g. a run's
+ * config::toJson.
  */
 RunRecord recordDse(const TechConfig &tech,
                     const DeviceObjective &objective, DseOptions opts,

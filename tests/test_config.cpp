@@ -1,15 +1,18 @@
 /**
  * @file
- * Unit tests for the config (de)serialization layer and the preset
- * registries.
+ * Unit tests for the config (de)serialization layer, the run config
+ * and the preset registries.
  */
 
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "config/run.h"
 #include "config/serialize.h"
 #include "hw/presets.h"
+#include "report/record.h"
 #include "util/error.h"
 #include "util/units.h"
 #include "workload/presets.h"
@@ -220,6 +223,89 @@ TEST(Serialize, ReportsAreWellFormed)
     EXPECT_NEAR(iback.at("totalLatency").asNumber(),
                 irep.totalLatency, 1e-9);
     EXPECT_TRUE(iback.at("fitsDeviceMemory").asBool());
+}
+
+TEST(RunConfig, RoundTripsEveryPreset)
+{
+    for (const std::string &model : config::modelPresetNames())
+        for (const char *system : {"dgx-a100", "dgx-h100"})
+            for (bool infer : {false, true}) {
+                optimus::Run run{.model = config::modelPreset(model),
+                        .sys = config::systemPreset(system, 2),
+                        .infer = infer};
+                if (infer) {
+                    run.inference.tensorParallel = 2;
+                    run.inference.batch = 16;
+                    run.inference.promptLength = 512;
+                    run.inference.generateLength = 64;
+                    run.inference.flashAttention = true;
+                    run.inference.kvPrecision = Precision::FP8;
+                } else {
+                    run.par.dataParallel = 4;
+                    run.par.tensorParallel = 2;
+                    run.par.pipelineParallel = 2;
+                    run.par.sequenceParallel = true;
+                    run.batch = 96;
+                    run.training.recompute = Recompute::Selective;
+                    run.training.dpOverlapFraction = 0.3;
+                    run.training.tpOverlapFraction = 0.55;
+                    run.training.memory.zeroStage = 2;
+                }
+                const std::string dump = config::toJson(run).dump();
+                EXPECT_EQ(
+                    config::toJson(config::runFromJson(config::toJson(run)))
+                        .dump(),
+                    dump)
+                    << model << " on " << system
+                    << (infer ? " inference" : " training");
+            }
+}
+
+TEST(RunConfig, ReadsTheModeAndTheTrainingBatch)
+{
+    const std::string base = R"("model": {"preset": "gpt-7b"},
+                                "system": {"preset": "dgx-a100"})";
+    optimus::Run run = config::runFromJson(JsonValue::parse("{" + base + "}"));
+    EXPECT_FALSE(run.infer);
+    EXPECT_EQ(run.batch, 64);
+    run = config::runFromJson(
+        JsonValue::parse("{" + base + R"(, "batch": 32})"));
+    EXPECT_EQ(run.batch, 32);
+    run = config::runFromJson(JsonValue::parse(
+        "{" + base + R"(, "inference": {"batch": 8}})"));
+    EXPECT_TRUE(run.infer);
+    EXPECT_EQ(run.inference.batch, 8);
+}
+
+TEST(RunConfig, FingerprintsArePinned)
+{
+    // The fingerprints (hashes of the compact dumps) that every
+    // earlier build recorded for these two runs. (Inside a TEST body
+    // a bare Run names testing::Test::Run.)
+    optimus::Run train{.model = models::gpt7b(),
+              .sys = presets::dgxH100(2),
+              .batch = 32};
+    train.par.dataParallel = 2;
+    train.par.tensorParallel = 4;
+    train.par.pipelineParallel = 2;
+    train.training.flashAttention = true;
+    train.training.memory.zeroStage = 1;
+    EXPECT_EQ(report::fingerprintJson(config::toJson(train)),
+              "c96c9433b7073f83")
+        << config::toJson(train).dump();
+
+    optimus::Run infer{.model = models::llama2_70b(),
+              .sys = presets::dgxH100(1),
+              .infer = true};
+    infer.inference.tensorParallel = 4;
+    infer.inference.batch = 8;
+    infer.inference.promptLength = 1024;
+    infer.inference.generateLength = 256;
+    infer.inference.flashAttention = true;
+    infer.inference.kvPrecision = Precision::FP8;
+    EXPECT_EQ(report::fingerprintJson(config::toJson(infer)),
+              "391be4751e60c9f7")
+        << config::toJson(infer).dump();
 }
 
 } // namespace

@@ -1,22 +1,16 @@
 /**
  * @file
- * Command-line front end to the performance model.
+ * Command-line front end to the performance model; usage() lists the
+ * subcommands.
  *
- * Subcommands:
- *   train    predict training time/memory for a model+system+mapping
- *   infer    predict inference latency
- *   memory   per-device training memory breakdown per recompute mode
- *   lint     static-check a config without evaluating it
- *   presets  list built-in device/system/model presets
- *
- * Inputs come from flags (preset names + mapping knobs) or from a
- * JSON config file (the first positional operand, or --config FILE)
- * whose members are the objects accepted by config/serialize.h; a
- * member present in the file overrides the matching flags. Every
- * command that evaluates, serves, plans or searches around a training
- * or inference run resolves it through resolveRun. A flag that no
- * command reads, or a config file that is not a JSON object, is an
- * error. Add --json to emit the report as JSON instead of text.
+ * Inputs come from flags or from a JSON config file (the first
+ * positional operand, or --config FILE) in the run format of
+ * config/run.h, each flag standing for a field of it; a member present
+ * in the file replaces the flags' member whole. Every command around a
+ * training or inference run resolves it through resolveRun and
+ * config::runFromJson, which also replays a RunRecord's config. A flag
+ * that no command reads, or a config file that is not a JSON object,
+ * is an error. Add --json to emit the report as JSON instead of text.
  *
  * Examples:
  *   optimus_cli train --model gpt-175b --system dgx-a100 --nodes 8 \
@@ -40,26 +34,6 @@ using namespace optimus;
 namespace {
 
 using Args = Flags;
-
-/** Every flag some command reads; any other flag is an error. */
-const char *const kFlags[] = {
-    "area", "batch", "check", "config", "csv", "dp", "dram",
-    "flash-attention", "generate", "grid", "interleave", "json",
-    "label", "max-batch", "microbatch", "mode", "model", "node",
-    "nodes", "out", "power", "pp", "precision", "prompt", "recompute",
-    "rounds", "seq", "sp", "system", "threads", "tol-pct", "top", "tp",
-    "verbose", "version", "zero",
-};
-
-/** Reject a flag that no command reads (a typo or a removed flag). */
-void
-checkKnownFlags(const Args &args)
-{
-    for (const auto &kv : args.all())
-        if (std::find(std::begin(kFlags), std::end(kFlags), kv.first) ==
-            std::end(kFlags))
-            throw ConfigError("unknown flag --" + kv.first);
-}
 
 /** The config file: the first positional operand, else --config. */
 std::string
@@ -89,166 +63,128 @@ loadConfig(const Args &args)
     return cfg;
 }
 
-TransformerConfig
-resolveModel(const Args &args, const JsonValue &cfg)
-{
-    if (cfg.has("model"))
-        return config::modelFromJson(cfg.at("model"));
-    return config::modelPreset(args.get("model", "gpt-175b"));
-}
-
-System
-resolveSystem(const Args &args, const JsonValue &cfg)
-{
-    if (cfg.has("system"))
-        return config::systemFromJson(cfg.at("system"));
-    return config::systemPreset(
-        args.get("system", "dgx-a100"),
-        static_cast<int>(args.getInt("nodes", 1)));
-}
-
-ParallelConfig
-resolveParallel(const Args &args, const JsonValue &cfg)
-{
-    if (cfg.has("parallel"))
-        return config::parallelFromJson(cfg.at("parallel"));
-    ParallelConfig par;
-    par.dataParallel = args.getInt("dp", 1);
-    par.tensorParallel = args.getInt("tp", 1);
-    par.pipelineParallel = args.getInt("pp", 1);
-    par.sequenceParallel = args.has("sp");
-    par.microbatchSize = args.getInt("microbatch", 1);
-    par.interleavedStages = args.getInt("interleave", 1);
-    if (par.interleavedStages > 1)
-        par.schedule = PipelineSchedule::Interleaved1F1B;
-    return par;
-}
-
-TrainingOptions
-resolveTrainingOptions(const Args &args, const JsonValue &cfg)
-{
-    if (cfg.has("training"))
-        return config::trainingOptionsFromJson(cfg.at("training"));
-    return {.precision = parsePrecision(args.get("precision", "fp16")),
-            .recompute = parseRecompute(args.get("recompute", "full")),
-            .seqLength = args.getInt("seq", 2048),
-            .flashAttention = args.has("flash-attention"),
-            .memory = {.zeroStage = int(args.getInt("zero", 0))}};
-}
-
-InferenceOptions
-resolveInferenceOptions(const Args &args, const JsonValue &cfg)
-{
-    if (cfg.has("inference"))
-        return config::inferenceOptionsFromJson(cfg.at("inference"));
-    const Precision precision =
-        parsePrecision(args.get("precision", "fp16"));
-    return {.precision = precision,
-            .tensorParallel = args.getInt("tp", 1),
-            .pipelineParallel = args.getInt("pp", 1),
-            .batch = args.getInt("batch", 1),
-            .promptLength = args.getInt("prompt", 200),
-            .generateLength = args.getInt("generate", 200),
-            .flashAttention = args.has("flash-attention"),
-            // As in a config without kvPrecision: the cache follows.
-            .kvPrecision = precision};
-}
-
-/** True when the config has an inference section. */
-bool
-configuresInference(const JsonValue &cfg)
-{
-    return cfg.has("inference");
-}
-
 /**
- * True for an inference run: --mode (train|infer) decides when given,
- * else a config with an inference section selects inference.
+ * A flag some command reads and, for a run flag, the config field it
+ * stands for and how its value is spelled there.
  */
-bool
-inferenceRun(const Args &args, const JsonValue &cfg)
+struct Flag
 {
-    if (!args.has("mode"))
-        return configuresInference(cfg);
-    const std::string mode = args.get("mode");
-    if (mode != "train" && mode != "infer")
-        throw ConfigError("unknown --mode value: " + mode);
-    return mode == "infer";
-}
-
-/**
- * A resolved training or inference run. Only the options of its mode
- * are filled: par, batch and training, or inference.
- */
-struct Run
-{
-    TransformerConfig model;
-    System sys;
-    bool infer = false;
-    ParallelConfig par;
-    long long batch = 0;
-    TrainingOptions training;
-    InferenceOptions inference;
+    const char *name;
+    const char *member = nullptr, *field = nullptr;
+    enum { Integer, Text, Switch } spell = Integer;
 };
 
-/** The one resolution of a run from the config and the flags. */
+/**
+ * Every flag some command reads; any other flag is an error. An absent
+ * run flag is an absent field, whose default is the flag's. A training
+ * run's --batch is its top-level batch.
+ */
+const Flag kFlags[] = {
+    {"model", "model", "preset", Flag::Text},
+    {"system", "system", "preset", Flag::Text},
+    {"nodes", "system", "numNodes"},
+    {"dp", "parallel", "dataParallel"},
+    {"tp", "parallel", "tensorParallel"},
+    {"pp", "parallel", "pipelineParallel"},
+    {"sp", "parallel", "sequenceParallel", Flag::Switch},
+    {"microbatch", "parallel", "microbatchSize"},
+    {"interleave", "parallel", "interleavedStages"},
+    {"precision", "training", "precision", Flag::Text},
+    {"recompute", "training", "recompute", Flag::Text},
+    {"seq", "training", "seqLength"},
+    {"flash-attention", "training", "flashAttention", Flag::Switch},
+    {"zero", "training", "zeroStage"},
+    {"precision", "inference", "precision", Flag::Text},
+    {"tp", "inference", "tensorParallel"},
+    {"pp", "inference", "pipelineParallel"},
+    {"batch", "inference", "batch"},
+    {"prompt", "inference", "promptLength"},
+    {"generate", "inference", "generateLength"},
+    {"flash-attention", "inference", "flashAttention", Flag::Switch},
+    {"area"}, {"check"}, {"config"}, {"csv"}, {"dram"}, {"grid"},
+    {"json"}, {"label"}, {"max-batch"}, {"mode"}, {"node"}, {"out"},
+    {"power"}, {"rounds"}, {"threads"}, {"tol-pct"}, {"top"},
+    {"verbose"}, {"version"},
+};
+
+/** Reject a flag that no command reads (a typo or a removed flag). */
+void
+checkKnownFlags(const Args &args)
+{
+    for (const auto &kv : args.all())
+        if (std::none_of(std::begin(kFlags), std::end(kFlags),
+                         [&](const Flag &f) { return kv.first == f.name; }))
+            throw ConfigError("unknown flag --" + kv.first);
+}
+
+/**
+ * Config member @p name spelled from the flags. A training run's
+ * top-level batch is the --batch value, null without the flag.
+ */
+JsonValue
+flagMember(const Args &args, const std::string &name)
+{
+    if (name == "batch")
+        return args.has("batch")
+                   ? JsonValue::number(double(args.getInt("batch", 0)))
+                   : JsonValue();
+    JsonValue member = JsonValue::object();
+    if (name == "model" || name == "system")  // the presets' defaults
+        member.set("preset", JsonValue::string(name == "model" ? "gpt-175b"
+                                                               : "dgx-a100"));
+    for (const Flag &f : kFlags)
+        if (f.member && name == f.member && args.has(f.name))
+            member.set(f.field,
+                       f.spell == Flag::Integer
+                           ? JsonValue::number(double(args.getInt(f.name, 0)))
+                       : f.spell == Flag::Text
+                           ? JsonValue::string(args.get(f.name))
+                           : JsonValue::boolean(true));
+    if (name == "parallel" && args.getInt("interleave", 1) > 1)
+        member.set("schedule",
+                   JsonValue::string(
+                       scheduleName(PipelineSchedule::Interleaved1F1B)));
+    return member;
+}
+
+/**
+ * The one resolution of a run from the config and the flags: each
+ * member of the run's mode is the config's when present, whole, else
+ * the flags', so a flag is parsed only when it is read.
+ */
 Run
 resolveRun(const Args &args, const JsonValue &cfg, bool infer)
 {
-    Run run;
-    run.model = resolveModel(args, cfg);
-    run.sys = resolveSystem(args, cfg);
-    run.infer = infer;
-    if (infer) {
-        run.inference = resolveInferenceOptions(args, cfg);
-    } else {
-        run.par = resolveParallel(args, cfg);
-        // Given only TP/PP, the data-parallel degree fills the system.
-        const long long rest =
-            run.par.tensorParallel * run.par.pipelineParallel;
-        if (!args.has("dp") && !cfg.has("parallel") &&
-            rest > 0 && run.sys.totalDevices() % rest == 0)
-            run.par.dataParallel = run.sys.totalDevices() / rest;
-        run.batch = args.getInt("batch", 64);
-        run.training = resolveTrainingOptions(args, cfg);
+    JsonValue json = JsonValue::object();
+    for (const char *name :
+         infer ? std::vector<const char *>{"model", "system", "inference"}
+               : std::vector<const char *>{"model", "system", "parallel",
+                                           "batch", "training"}) {
+        JsonValue member =
+            cfg.has(name) ? cfg.at(name) : flagMember(args, name);
+        if (!member.isNull())
+            json.set(name, std::move(member));
     }
+    Run run = config::runFromJson(json);
+    // Given only TP/PP, the data-parallel degree fills the system.
+    const long long rest =
+        run.par.tensorParallel * run.par.pipelineParallel;
+    if (!infer && !args.has("dp") && !cfg.has("parallel") && rest > 0 &&
+        run.sys.totalDevices() % rest == 0)
+        run.par.dataParallel = run.sys.totalDevices() / rest;
     return run;
 }
 
-/** The run of a command that reads its mode from --mode or the config. */
+/** The run of --mode (train|infer), else of the config's mode. */
 Run
 resolveRun(const Args &args)
 {
     const JsonValue cfg = loadConfig(args);
-    return resolveRun(args, cfg, inferenceRun(args, cfg));
-}
-
-/** What a run's headline number measures. */
-const char *
-objectiveName(const Run &run)
-{
-    return run.infer ? "inference latency" : "training time per batch";
-}
-
-/** The predicted time of @p run on @p sys: what sensitivity and dse probe. */
-double
-runTime(const Run &run, const System &sys)
-{
-    return run.infer
-               ? evaluateInference(run.model, sys, run.inference)
-                     .totalLatency
-               : evaluateTraining(run.model, sys, run.par, run.batch,
-                                  run.training)
-                     .timePerBatch;
-}
-
-lint::LintReport
-lintRun(const Run &run)
-{
-    return run.infer ? lint::lintInference(run.model, run.sys,
-                                           run.inference)
-                     : lint::lintTraining(run.model, run.sys, run.par,
-                                          run.batch, run.training);
+    const std::string mode =
+        args.get("mode", cfg.has("inference") ? "infer" : "train");
+    checkConfig(mode == "train" || mode == "infer",
+                "unknown --mode value: " + mode);
+    return resolveRun(args, cfg, mode == "infer");
 }
 
 /** The planner search of `plan` and `record --mode plan` around a run. */
@@ -529,17 +465,8 @@ cmdTrace(const Args &args)
                        double(lrep.diagnostics().size()));
     session.counterAdd("lint/errors", double(lrep.errorCount()));
     session.counterAdd("lint/warnings", double(lrep.warningCount()));
-    double model_total = 0.0;
-    if (run.infer) {
-        run.inference.trace = &session;
-        model_total = evaluateInference(run.model, run.sys, run.inference)
-                          .totalLatency;
-    } else {
-        run.training.trace = &session;
-        model_total = evaluateTraining(run.model, run.sys, run.par,
-                                       run.batch, run.training)
-                          .timePerBatch;
-    }
+    run.training.trace = run.inference.trace = &session;
+    const double model_total = runTime(run, run.sys);
 
     // Surface the tile-cache statistics as trace counters so sweep
     // tooling reads hit rates straight from the export.
@@ -647,25 +574,20 @@ cmdKernels(const Args &args)
     return 0;
 }
 
+/** The --dram technologies by name. */
+const std::pair<const char *, DramTech (*)()> kDramTechs[] = {
+    {"gddr6", dram::gddr6}, {"hbm2", dram::hbm2},
+    {"hbm2e", dram::hbm2e}, {"hbm3-26", dram::hbm3_26},
+    {"hbm3", dram::hbm3},   {"hbm3e", dram::hbm3e},
+    {"hbm4", dram::hbm4},   {"hbmx", dram::hbmx},
+};
+
 DramTech
 resolveDramTech(const std::string &name)
 {
-    if (name == "gddr6")
-        return dram::gddr6();
-    if (name == "hbm2")
-        return dram::hbm2();
-    if (name == "hbm2e")
-        return dram::hbm2e();
-    if (name == "hbm3-26")
-        return dram::hbm3_26();
-    if (name == "hbm3")
-        return dram::hbm3();
-    if (name == "hbm3e")
-        return dram::hbm3e();
-    if (name == "hbm4")
-        return dram::hbm4();
-    if (name == "hbmx")
-        return dram::hbmx();
+    for (const auto &[tech_name, tech] : kDramTechs)
+        if (name == tech_name)
+            return tech();
     throw ConfigError("unknown --dram value: " + name);
 }
 
@@ -760,14 +682,10 @@ cmdRecord(const Args &args)
     } else if (mode == "dse") {
         // --mode names the search, so the config picks the run's mode.
         const JsonValue cfg = loadConfig(args);
-        const Run run = resolveRun(args, cfg, configuresInference(cfg));
+        const Run run = resolveRun(args, cfg, cfg.has("inference"));
         const auto [tech, dopts] = resolveDseSetup(args);
         rec = report::recordDse(
-            tech, dseObjective(run), dopts,
-            run.infer ? report::runConfig(run.model, run.sys,
-                                          run.inference)
-                      : report::runConfig(run.model, run.sys, run.par,
-                                          run.batch, run.training),
+            tech, dseObjective(run), dopts, config::toJson(run),
             args.get("label", run.model.name + " " + objectiveName(run)));
     } else {
         const Run run = resolveRun(args);
@@ -838,6 +756,16 @@ cmdPresets()
         std::cout << "  " << name << "\n";
     return 0;
 }
+
+/** The subcommands that read flags, by name. */
+const std::pair<const char *, int (*)(const Args &)> kCommands[] = {
+    {"train", cmdTrain},     {"infer", cmdInfer},
+    {"serve", cmdServe},     {"plan", cmdPlan},
+    {"sensitivity", cmdSensitivity}, {"memory", cmdMemory},
+    {"lint", cmdLint},       {"trace", cmdTrace},
+    {"kernels", cmdKernels}, {"dse", cmdDse},
+    {"record", cmdRecord},   {"diff", cmdDiff},
+};
 
 int
 usage()
@@ -913,30 +841,9 @@ main(int argc, char **argv)
     try {
         Args args = Flags::parse(argc, argv);
         checkKnownFlags(args);
-        if (args.command() == "train")
-            return cmdTrain(args);
-        if (args.command() == "infer")
-            return cmdInfer(args);
-        if (args.command() == "serve")
-            return cmdServe(args);
-        if (args.command() == "plan")
-            return cmdPlan(args);
-        if (args.command() == "sensitivity")
-            return cmdSensitivity(args);
-        if (args.command() == "memory")
-            return cmdMemory(args);
-        if (args.command() == "lint")
-            return cmdLint(args);
-        if (args.command() == "trace")
-            return cmdTrace(args);
-        if (args.command() == "kernels")
-            return cmdKernels(args);
-        if (args.command() == "dse")
-            return cmdDse(args);
-        if (args.command() == "record")
-            return cmdRecord(args);
-        if (args.command() == "diff")
-            return cmdDiff(args);
+        for (const auto &[name, command] : kCommands)
+            if (args.command() == name)
+                return command(args);
         if (args.command() == "version" || args.has("version"))
             return cmdVersion();
         if (args.command() == "presets")
