@@ -8,6 +8,10 @@ namespace config {
 Run
 runFromJson(const JsonValue &j)
 {
+    static const char *const kMembers[] = {"model",    "system",
+                                           "parallel", "batch",
+                                           "training", "inference"};
+    rejectUnknownFields(j, kMembers, "run member");
     Run run{.model = modelFromJson(j.at("model")),
             .sys = systemFromJson(j.at("system")),
             .infer = j.has("inference")};

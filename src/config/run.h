@@ -35,7 +35,8 @@ namespace config {
 /**
  * Read a run config: model and system, then inference for a config
  * with an inference member, else parallel, batch (default 64) and
- * training. An absent option member takes its defaults.
+ * training. An absent option member takes its defaults; any other
+ * member is OPT-CFG-025.
  */
 Run runFromJson(const JsonValue &j);
 

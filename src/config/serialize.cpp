@@ -1,7 +1,9 @@
 #include "config/serialize.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
+#include <type_traits>
 
 #include "hw/presets.h"
 #include "util/error.h"
@@ -67,15 +69,17 @@ systemRegistry()
     return reg;
 }
 
-PipelineSchedule
-scheduleFromName(const std::string &name)
+NetworkLink
+linkPreset(const std::string &name)
 {
-    for (PipelineSchedule s :
-         {PipelineSchedule::GPipe, PipelineSchedule::OneFOneB,
-          PipelineSchedule::Interleaved1F1B})
-        if (name == scheduleName(s))
-            return s;
-    throw ConfigError("unknown pipeline schedule: " + name);
+    static const std::map<std::string, NetworkLink (*)()> reg = {
+        {"nvlink3", presets::nvlink3},      {"nvlink4", presets::nvlink4},
+        {"nvlink5", presets::nvlink5},      {"hdr-ib", presets::hdrInfiniBand},
+        {"ndr-ib", presets::ndrInfiniBand}, {"xdr-ib", presets::xdrInfiniBand},
+    };
+    auto it = reg.find(name);
+    checkConfig(it != reg.end(), "unknown link preset: " + name);
+    return it->second();
 }
 
 } // namespace
@@ -134,117 +138,317 @@ systemPreset(const std::string &name, int num_nodes)
     return it->second(num_nodes);
 }
 
+// ---- Field lists -------------------------------------------------------
+//
+// Each config type names its fields once, in writer order. The Writer
+// emits every field the list names and the Reader replaces each one the
+// object has, so the two round-trip by construction, and a member the
+// list does not name is an OPT-CFG-025 error.
+
+namespace {
+
+/** The value in @p values that @p name_of spells @p name. */
+template <class E>
+E
+parseName(const std::string &name, const char *(*name_of)(E),
+          std::initializer_list<E> values, const char *what)
+{
+    for (E e : values)
+        if (name == name_of(e))
+            return e;
+    throw ConfigError(std::string("unknown ") + what + ": " + name);
+}
+
+const char *
+mlpName(MlpKind k)
+{
+    return k == MlpKind::SwiGlu ? "swiglu" : "gelu";
+}
+
+// One codec per enum: the name a list writes, and its parser.
+auto codec(Precision) { return std::pair(&precisionName, &parsePrecision); }
+auto codec(Recompute) { return std::pair(&recomputeName, &parseRecompute); }
+auto
+codec(CollectiveAlgorithm)
+{
+    return std::pair(&collectiveAlgorithmName, &parseCollectiveAlgorithm);
+}
+auto
+codec(PipelineSchedule)
+{
+    return std::pair(&scheduleName, [](const std::string &name) {
+        return parseName(name, scheduleName,
+                         {PipelineSchedule::GPipe, PipelineSchedule::OneFOneB,
+                          PipelineSchedule::Interleaved1F1B},
+                         "pipeline schedule");
+    });
+}
+auto
+codec(MlpKind)
+{
+    return std::pair(&mlpName, [](const std::string &name) {
+        return parseName(name, mlpName,
+                         {MlpKind::GeluTwoLayer, MlpKind::SwiGlu},
+                         "mlp kind");
+    });
+}
+
+template <class V>
+void fields(V &v, NetworkLink &l)
+{
+    v("name", l.name);
+    v("bandwidth", l.bandwidth);
+    v("latency", l.latency);
+    v("halfUtilVolume", l.halfUtilVolume);
+    v("maxUtilization", l.maxUtilization);
+    v("collectiveOverhead", l.collectiveOverhead);
+}
+
+template <class V>
+void fields(V &v, MemoryLevel &m)
+{
+    v("name", m.name);
+    v("capacity", m.capacity);
+    v("bandwidth", m.bandwidth);
+    v("utilization", m.utilization);
+}
+
+template <class V>
+void fields(V &v, Device &d)
+{
+    v("name", d.name);
+    v("matrixThroughput", d.matrixThroughput);
+    v("vectorThroughput", d.vectorThroughput);
+    v("mem", d.mem);
+    v("matrixMaxEfficiency", d.matrixMaxEfficiency);
+    v("gemmKHalf", d.gemmKHalf);
+    v("gemvDramUtilization", d.gemvDramUtilization);
+    v("kernelLaunchOverhead", d.kernelLaunchOverhead);
+}
+
+template <class V>
+void fields(V &v, System &s)
+{
+    v("device", s.device);
+    v("devicesPerNode", s.devicesPerNode);
+    v("numNodes", s.numNodes);
+    v("intraLink", s.intraLink);
+    v("interLink", s.interLink);
+}
+
+template <class V>
+void fields(V &v, TransformerConfig &c)
+{
+    v("name", c.name);
+    v("numLayers", c.numLayers);
+    v("hiddenSize", c.hiddenSize);
+    v("numHeads", c.numHeads);
+    v("numKvHeads", c.numKvHeads);
+    v("ffnHidden", c.ffnHidden);
+    v("vocabSize", c.vocabSize);
+    v("maxSeqLength", c.maxSeqLength);
+    v("mlp", c.mlp);
+    v("numExperts", c.numExperts);
+    v("topK", c.topK);
+    v("slidingWindow", c.slidingWindow);
+}
+
+template <class V>
+void fields(V &v, ParallelConfig &p)
+{
+    v("dataParallel", p.dataParallel);
+    v("tensorParallel", p.tensorParallel);
+    v("pipelineParallel", p.pipelineParallel);
+    v("sequenceParallel", p.sequenceParallel);
+    v("schedule", p.schedule);
+    v("microbatchSize", p.microbatchSize);
+    v("interleavedStages", p.interleavedStages);
+    v("expertParallel", p.expertParallel);
+    v("contextParallel", p.contextParallel);
+}
+
+/** The trace pointer is runtime state, not configuration. */
+template <class V>
+void fields(V &v, TrainingOptions &o)
+{
+    v("precision", o.precision);
+    v("recompute", o.recompute);
+    v("seqLength", o.seqLength);
+    v("collectiveAlgorithm", o.collectiveAlgorithm);
+    v("dpOverlapFraction", o.dpOverlapFraction);
+    v("tpOverlapFraction", o.tpOverlapFraction);
+    v("flashAttention", o.flashAttention);
+    v("zeroStage", o.memory.zeroStage);
+}
+
+template <class V>
+void fields(V &v, InferenceOptions &o)
+{
+    v("precision", o.precision);
+    v("tensorParallel", o.tensorParallel);
+    v("pipelineParallel", o.pipelineParallel);
+    v("batch", o.batch);
+    v("promptLength", o.promptLength);
+    v("generateLength", o.generateLength);
+    v("collectiveAlgorithm", o.collectiveAlgorithm);
+    v("flashAttention", o.flashAttention);
+    v("kvPrecision", o.kvPrecision);
+}
+
+/** The search only: the run's options and the threads are not in it. */
+template <class V>
+void fields(V &v, TrainingPlannerOptions &o)
+{
+    v("zeroStages", o.zeroStages);
+    v("recomputeChoices", o.recomputeChoices);
+    v("microbatchSizes", o.microbatchSizes);
+    v("keep", o.keep);
+}
+
+/** Sets each field a list names on an object, in list order. */
+struct Writer
+{
+    JsonValue j = JsonValue::object();
+
+    template <class T>
+    void operator()(const char *key, const T &field)
+    {
+        j.set(key, encode(field));
+    }
+
+    template <class T>
+    static JsonValue encode(const T &v)
+    {
+        if constexpr (std::is_same_v<T, bool>)
+            return JsonValue::boolean(v);
+        else if constexpr (std::is_arithmetic_v<T>)
+            return JsonValue::number(double(v));
+        else if constexpr (std::is_enum_v<T>)
+            return JsonValue::string(codec(v).first(v));
+        else if constexpr (std::is_same_v<T, std::string>)
+            return JsonValue::string(v);
+        else {
+            Writer w;
+            fields(w, const_cast<T &>(v));  // the writer only reads
+            return std::move(w.j);
+        }
+    }
+
+    template <class T>
+    static JsonValue encode(const std::vector<T> &values)
+    {
+        JsonValue a = JsonValue::array();
+        for (const T &v : values)
+            a.push(encode(v));
+        return a;
+    }
+
+    template <class K>
+    static JsonValue encode(const std::map<K, double> &values)
+    {
+        JsonValue o = JsonValue::object();
+        for (const auto &[k, v] : values)
+            o.set(codec(k).first(k), JsonValue::number(v));
+        return o;
+    }
+};
+
+/** Replaces each field a list names that the object has. */
+struct Reader
+{
+    const JsonValue &j;
+    std::vector<const char *> known;  ///< the list's keys
+    std::vector<const void *> given;  ///< the fields the object sets
+
+    /**
+     * Read object @p j over @p obj, a @p type. A type with presets
+     * passes @p preset, and a "preset" member then replaces @p obj
+     * before the fields do.
+     */
+    template <class T, class Preset = std::nullptr_t>
+    static Reader read(const JsonValue &j, T &obj, const char *type,
+                       Preset preset = nullptr)
+    {
+        Reader r{j, {}, {}};
+        if constexpr (!std::is_null_pointer_v<Preset>) {
+            r.known.push_back("preset");
+            if (j.has("preset"))
+                obj = preset(j.at("preset").asString());
+        }
+        fields(r, obj);
+        rejectUnknownFields(j, r.known, std::string(type) + " field");
+        return r;
+    }
+
+    template <class T>
+    void operator()(const char *key, T &field)
+    {
+        known.push_back(key);
+        if (!j.has(key))
+            return;
+        decode(j.at(key), field);
+        given.push_back(&field);
+    }
+
+    /** True when the object sets @p field. */
+    bool sets(const void *field) const
+    {
+        return std::find(given.begin(), given.end(), field) != given.end();
+    }
+
+    template <class T>
+    static void decode(const JsonValue &v, T &field)
+    {
+        if constexpr (std::is_same_v<T, bool>)
+            field = v.asBool();
+        else if constexpr (std::is_integral_v<T>)
+            field = static_cast<T>(v.asInt());
+        else if constexpr (std::is_floating_point_v<T>)
+            field = v.asNumber();
+        else if constexpr (std::is_enum_v<T>)
+            field = codec(field).second(v.asString());
+        else if constexpr (std::is_same_v<T, std::string>)
+            field = v.asString();
+        else if constexpr (std::is_same_v<T, Device>)
+            field = deviceFromJson(v);
+        else if constexpr (std::is_same_v<T, NetworkLink>)
+            field = linkFromJson(v);
+        else {
+            static_assert(std::is_same_v<T, MemoryLevel>);
+            field.utilization = 0.85;  // a level's streaming default
+            read(v, field, "memory level");
+        }
+    }
+
+    template <class T>
+    static void decode(const JsonValue &v, std::vector<T> &field)
+    {
+        field.clear();
+        for (const JsonValue &item : v.asArray())
+            decode(item, field.emplace_back());
+    }
+
+    template <class K>
+    static void decode(const JsonValue &v, std::map<K, double> &field)
+    {
+        field.clear();
+        for (const auto &[k, x] : v.asObject())
+            field[codec(K{}).second(k)] = x.asNumber();
+    }
+};
+
+} // namespace
+
 // ---- Serialization -----------------------------------------------------
 
-JsonValue
-toJson(const NetworkLink &link)
-{
-    JsonValue j = JsonValue::object();
-    j.set("name", JsonValue::string(link.name));
-    j.set("bandwidth", JsonValue::number(link.bandwidth));
-    j.set("latency", JsonValue::number(link.latency));
-    j.set("halfUtilVolume", JsonValue::number(link.halfUtilVolume));
-    j.set("maxUtilization", JsonValue::number(link.maxUtilization));
-    j.set("collectiveOverhead",
-          JsonValue::number(link.collectiveOverhead));
-    return j;
-}
-
-JsonValue
-toJson(const Device &dev)
-{
-    JsonValue j = JsonValue::object();
-    j.set("name", JsonValue::string(dev.name));
-
-    JsonValue matrix = JsonValue::object();
-    for (const auto &[p, f] : dev.matrixThroughput)
-        matrix.set(precisionName(p), JsonValue::number(f));
-    j.set("matrixThroughput", std::move(matrix));
-
-    JsonValue vec = JsonValue::object();
-    for (const auto &[p, f] : dev.vectorThroughput)
-        vec.set(precisionName(p), JsonValue::number(f));
-    j.set("vectorThroughput", std::move(vec));
-
-    JsonValue mem = JsonValue::array();
-    for (const MemoryLevel &m : dev.mem) {
-        JsonValue level = JsonValue::object();
-        level.set("name", JsonValue::string(m.name));
-        level.set("capacity", JsonValue::number(m.capacity));
-        level.set("bandwidth", JsonValue::number(m.bandwidth));
-        level.set("utilization", JsonValue::number(m.utilization));
-        mem.push(std::move(level));
-    }
-    j.set("mem", std::move(mem));
-
-    j.set("matrixMaxEfficiency",
-          JsonValue::number(dev.matrixMaxEfficiency));
-    j.set("gemmKHalf", JsonValue::number(dev.gemmKHalf));
-    j.set("gemvDramUtilization",
-          JsonValue::number(dev.gemvDramUtilization));
-    j.set("kernelLaunchOverhead",
-          JsonValue::number(dev.kernelLaunchOverhead));
-    return j;
-}
-
-JsonValue
-toJson(const System &sys)
-{
-    JsonValue j = JsonValue::object();
-    j.set("device", toJson(sys.device));
-    j.set("devicesPerNode",
-          JsonValue::number(double(sys.devicesPerNode)));
-    j.set("numNodes", JsonValue::number(double(sys.numNodes)));
-    j.set("intraLink", toJson(sys.intraLink));
-    j.set("interLink", toJson(sys.interLink));
-    return j;
-}
-
-JsonValue
-toJson(const TransformerConfig &cfg)
-{
-    JsonValue j = JsonValue::object();
-    j.set("name", JsonValue::string(cfg.name));
-    j.set("numLayers", JsonValue::number(double(cfg.numLayers)));
-    j.set("hiddenSize", JsonValue::number(double(cfg.hiddenSize)));
-    j.set("numHeads", JsonValue::number(double(cfg.numHeads)));
-    j.set("numKvHeads", JsonValue::number(double(cfg.numKvHeads)));
-    j.set("ffnHidden", JsonValue::number(double(cfg.ffnHidden)));
-    j.set("vocabSize", JsonValue::number(double(cfg.vocabSize)));
-    j.set("maxSeqLength",
-          JsonValue::number(double(cfg.maxSeqLength)));
-    j.set("mlp", JsonValue::string(cfg.mlp == MlpKind::SwiGlu
-                                       ? "swiglu"
-                                       : "gelu"));
-    j.set("numExperts", JsonValue::number(double(cfg.numExperts)));
-    j.set("topK", JsonValue::number(double(cfg.topK)));
-    j.set("slidingWindow",
-          JsonValue::number(double(cfg.slidingWindow)));
-    return j;
-}
-
-JsonValue
-toJson(const ParallelConfig &par)
-{
-    JsonValue j = JsonValue::object();
-    j.set("dataParallel", JsonValue::number(double(par.dataParallel)));
-    j.set("tensorParallel",
-          JsonValue::number(double(par.tensorParallel)));
-    j.set("pipelineParallel",
-          JsonValue::number(double(par.pipelineParallel)));
-    j.set("sequenceParallel",
-          JsonValue::boolean(par.sequenceParallel));
-    j.set("schedule", JsonValue::string(scheduleName(par.schedule)));
-    j.set("microbatchSize",
-          JsonValue::number(double(par.microbatchSize)));
-    j.set("interleavedStages",
-          JsonValue::number(double(par.interleavedStages)));
-    j.set("expertParallel",
-          JsonValue::number(double(par.expertParallel)));
-    j.set("contextParallel",
-          JsonValue::number(double(par.contextParallel)));
-    return j;
-}
+JsonValue toJson(const NetworkLink &link) { return Writer::encode(link); }
+JsonValue toJson(const Device &dev) { return Writer::encode(dev); }
+JsonValue toJson(const System &sys) { return Writer::encode(sys); }
+JsonValue toJson(const TransformerConfig &cfg) { return Writer::encode(cfg); }
+JsonValue toJson(const ParallelConfig &par) { return Writer::encode(par); }
+JsonValue toJson(const TrainingOptions &opts) { return Writer::encode(opts); }
+JsonValue toJson(const InferenceOptions &opts) { return Writer::encode(opts); }
+JsonValue toJson(const TrainingPlannerOptions &o) { return Writer::encode(o); }
 
 JsonValue
 toJson(const TrainingMemory &mem)
@@ -255,52 +459,6 @@ toJson(const TrainingMemory &mem)
     j.set("optimizer", JsonValue::number(mem.optimizer));
     j.set("activations", JsonValue::number(mem.activations));
     j.set("total", JsonValue::number(mem.total()));
-    return j;
-}
-
-JsonValue
-toJson(const TrainingOptions &opts)
-{
-    // Field names mirror trainingOptionsFromJson, so a serialized
-    // options object (e.g. inside a RunRecord's canonical config)
-    // deserializes back to the same evaluation. The trace pointer is
-    // runtime state, not configuration.
-    JsonValue j = JsonValue::object();
-    j.set("precision",
-          JsonValue::string(precisionName(opts.precision)));
-    j.set("recompute", JsonValue::string(recomputeName(opts.recompute)));
-    j.set("seqLength", JsonValue::number(double(opts.seqLength)));
-    j.set("collectiveAlgorithm", JsonValue::string(collectiveAlgorithmName(
-                                     opts.collectiveAlgorithm)));
-    j.set("dpOverlapFraction",
-          JsonValue::number(opts.dpOverlapFraction));
-    j.set("tpOverlapFraction",
-          JsonValue::number(opts.tpOverlapFraction));
-    j.set("flashAttention", JsonValue::boolean(opts.flashAttention));
-    j.set("zeroStage", JsonValue::number(double(opts.memory.zeroStage)));
-    return j;
-}
-
-JsonValue
-toJson(const InferenceOptions &opts)
-{
-    JsonValue j = JsonValue::object();
-    j.set("precision",
-          JsonValue::string(precisionName(opts.precision)));
-    j.set("tensorParallel",
-          JsonValue::number(double(opts.tensorParallel)));
-    j.set("pipelineParallel",
-          JsonValue::number(double(opts.pipelineParallel)));
-    j.set("batch", JsonValue::number(double(opts.batch)));
-    j.set("promptLength",
-          JsonValue::number(double(opts.promptLength)));
-    j.set("generateLength",
-          JsonValue::number(double(opts.generateLength)));
-    j.set("collectiveAlgorithm", JsonValue::string(collectiveAlgorithmName(
-                                     opts.collectiveAlgorithm)));
-    j.set("flashAttention", JsonValue::boolean(opts.flashAttention));
-    j.set("kvPrecision",
-          JsonValue::string(precisionName(opts.kvPrecision)));
     return j;
 }
 
@@ -389,76 +547,39 @@ toJson(const lint::LintReport &report)
 
 // ---- Deserialization -----------------------------------------------------
 
+void
+rejectUnknownFields(const JsonValue &j, std::span<const char *const> known,
+                    const std::string &what)
+{
+    lint::LintReport report;
+    std::string names;
+    for (const auto &[key, value] : j.asObject()) {
+        if (std::find(known.begin(), known.end(), key) != known.end())
+            continue;
+        if (names.empty())
+            for (const char *k : known)
+                names += (names.empty() ? "" : ", ") + std::string(k);
+        report.error(lint::kRuleUnknownField,
+                     "unknown " + what + " \"" + key + "\"",
+                     what + "s: " + names);
+    }
+    lint::enforce(report);
+}
+
 NetworkLink
 linkFromJson(const JsonValue &j)
 {
-    NetworkLink base;
-    if (j.has("preset")) {
-        const std::string name = j.at("preset").asString();
-        if (name == "nvlink3")
-            base = presets::nvlink3();
-        else if (name == "nvlink4")
-            base = presets::nvlink4();
-        else if (name == "nvlink5")
-            base = presets::nvlink5();
-        else if (name == "hdr-ib")
-            base = presets::hdrInfiniBand();
-        else if (name == "ndr-ib")
-            base = presets::ndrInfiniBand();
-        else if (name == "xdr-ib")
-            base = presets::xdrInfiniBand();
-        else
-            throw ConfigError("unknown link preset: " + name);
-    }
-    base.name = j.getString("name", base.name);
-    base.bandwidth = j.getNumber("bandwidth", base.bandwidth);
-    base.latency = j.getNumber("latency", base.latency);
-    base.halfUtilVolume =
-        j.getNumber("halfUtilVolume", base.halfUtilVolume);
-    base.maxUtilization =
-        j.getNumber("maxUtilization", base.maxUtilization);
-    base.collectiveOverhead =
-        j.getNumber("collectiveOverhead", base.collectiveOverhead);
-    base.validate();
-    return base;
+    NetworkLink link;
+    Reader::read(j, link, "link", linkPreset);
+    link.validate();
+    return link;
 }
 
 Device
 deviceFromJson(const JsonValue &j)
 {
     Device dev;
-    if (j.has("preset"))
-        dev = devicePreset(j.at("preset").asString());
-
-    dev.name = j.getString("name", dev.name);
-    if (j.has("matrixThroughput")) {
-        dev.matrixThroughput.clear();
-        for (const auto &[k, v] : j.at("matrixThroughput").asObject())
-            dev.matrixThroughput[parsePrecision(k)] = v.asNumber();
-    }
-    if (j.has("vectorThroughput")) {
-        dev.vectorThroughput.clear();
-        for (const auto &[k, v] : j.at("vectorThroughput").asObject())
-            dev.vectorThroughput[parsePrecision(k)] = v.asNumber();
-    }
-    if (j.has("mem")) {
-        dev.mem.clear();
-        for (const JsonValue &level : j.at("mem").asArray()) {
-            MemoryLevel m;
-            m.name = level.at("name").asString();
-            m.capacity = level.at("capacity").asNumber();
-            m.bandwidth = level.at("bandwidth").asNumber();
-            m.utilization = level.getNumber("utilization", 0.85);
-            dev.mem.push_back(m);
-        }
-    }
-    dev.matrixMaxEfficiency =
-        j.getNumber("matrixMaxEfficiency", dev.matrixMaxEfficiency);
-    dev.gemmKHalf = j.getNumber("gemmKHalf", dev.gemmKHalf);
-    dev.gemvDramUtilization =
-        j.getNumber("gemvDramUtilization", dev.gemvDramUtilization);
-    dev.kernelLaunchOverhead =
-        j.getNumber("kernelLaunchOverhead", dev.kernelLaunchOverhead);
+    Reader::read(j, dev, "device", devicePreset);
     dev.validate();
     return dev;
 }
@@ -466,22 +587,10 @@ deviceFromJson(const JsonValue &j)
 System
 systemFromJson(const JsonValue &j)
 {
-    if (j.has("preset")) {
-        System sys = systemPreset(
-            j.at("preset").asString(),
-            static_cast<int>(j.getInt("numNodes", 1)));
-        if (j.has("device"))
-            sys.device = deviceFromJson(j.at("device"));
-        sys.validate();
-        return sys;
-    }
     System sys;
-    sys.device = deviceFromJson(j.at("device"));
-    sys.devicesPerNode =
-        static_cast<int>(j.getInt("devicesPerNode", 8));
-    sys.numNodes = static_cast<int>(j.getInt("numNodes", 1));
-    sys.intraLink = linkFromJson(j.at("intraLink"));
-    sys.interLink = linkFromJson(j.at("interLink"));
+    Reader::read(j, sys, "system", [](const std::string &name) {
+        return systemPreset(name, 1);
+    });
     sys.validate();
     return sys;
 }
@@ -490,29 +599,9 @@ TransformerConfig
 modelFromJson(const JsonValue &j)
 {
     TransformerConfig cfg;
-    if (j.has("preset"))
-        cfg = modelPreset(j.at("preset").asString());
-    cfg.name = j.getString("name", cfg.name);
-    cfg.numLayers = j.getInt("numLayers", cfg.numLayers);
-    cfg.hiddenSize = j.getInt("hiddenSize", cfg.hiddenSize);
-    cfg.numHeads = j.getInt("numHeads", cfg.numHeads);
-    cfg.numKvHeads = j.getInt("numKvHeads", cfg.numKvHeads ? cfg.numKvHeads
-                                                           : cfg.numHeads);
-    cfg.ffnHidden = j.getInt("ffnHidden", cfg.ffnHidden);
-    cfg.vocabSize = j.getInt("vocabSize", cfg.vocabSize);
-    cfg.maxSeqLength = j.getInt("maxSeqLength", cfg.maxSeqLength);
-    cfg.numExperts = j.getInt("numExperts", cfg.numExperts);
-    cfg.topK = j.getInt("topK", cfg.topK);
-    cfg.slidingWindow = j.getInt("slidingWindow", cfg.slidingWindow);
-    if (j.has("mlp")) {
-        const std::string kind = j.at("mlp").asString();
-        if (kind == "swiglu")
-            cfg.mlp = MlpKind::SwiGlu;
-        else if (kind == "gelu")
-            cfg.mlp = MlpKind::GeluTwoLayer;
-        else
-            throw ConfigError("unknown mlp kind: " + kind);
-    }
+    const Reader r = Reader::read(j, cfg, "model", modelPreset);
+    if (cfg.numKvHeads == 0 && !r.sets(&cfg.numKvHeads))
+        cfg.numKvHeads = cfg.numHeads;  // plain multi-head attention
     cfg.validate();
     return cfg;
 }
@@ -521,23 +610,7 @@ ParallelConfig
 parallelFromJson(const JsonValue &j)
 {
     ParallelConfig par;
-    par.dataParallel = j.getInt("dataParallel", par.dataParallel);
-    par.tensorParallel =
-        j.getInt("tensorParallel", par.tensorParallel);
-    par.pipelineParallel =
-        j.getInt("pipelineParallel", par.pipelineParallel);
-    par.sequenceParallel =
-        j.getBool("sequenceParallel", par.sequenceParallel);
-    if (j.has("schedule"))
-        par.schedule = scheduleFromName(j.at("schedule").asString());
-    par.microbatchSize =
-        j.getInt("microbatchSize", par.microbatchSize);
-    par.interleavedStages =
-        j.getInt("interleavedStages", par.interleavedStages);
-    par.expertParallel =
-        j.getInt("expertParallel", par.expertParallel);
-    par.contextParallel =
-        j.getInt("contextParallel", par.contextParallel);
+    Reader::read(j, par, "parallel");
     return par;
 }
 
@@ -545,22 +618,7 @@ TrainingOptions
 trainingOptionsFromJson(const JsonValue &j)
 {
     TrainingOptions opts;
-    if (j.has("precision"))
-        opts.precision = parsePrecision(j.at("precision").asString());
-    if (j.has("recompute"))
-        opts.recompute = parseRecompute(j.at("recompute").asString());
-    opts.seqLength = j.getInt("seqLength", opts.seqLength);
-    if (j.has("collectiveAlgorithm"))
-        opts.collectiveAlgorithm = parseCollectiveAlgorithm(
-            j.at("collectiveAlgorithm").asString());
-    opts.dpOverlapFraction =
-        j.getNumber("dpOverlapFraction", opts.dpOverlapFraction);
-    opts.tpOverlapFraction =
-        j.getNumber("tpOverlapFraction", opts.tpOverlapFraction);
-    opts.flashAttention =
-        j.getBool("flashAttention", opts.flashAttention);
-    opts.memory.zeroStage = static_cast<int>(
-        j.getInt("zeroStage", opts.memory.zeroStage));
+    Reader::read(j, opts, "training");
     return opts;
 }
 
@@ -568,25 +626,16 @@ InferenceOptions
 inferenceOptionsFromJson(const JsonValue &j)
 {
     InferenceOptions opts;
-    if (j.has("precision"))
-        opts.precision = parsePrecision(j.at("precision").asString());
-    opts.tensorParallel =
-        j.getInt("tensorParallel", opts.tensorParallel);
-    opts.pipelineParallel =
-        j.getInt("pipelineParallel", opts.pipelineParallel);
-    opts.batch = j.getInt("batch", opts.batch);
-    opts.promptLength = j.getInt("promptLength", opts.promptLength);
-    opts.generateLength =
-        j.getInt("generateLength", opts.generateLength);
-    if (j.has("collectiveAlgorithm"))
-        opts.collectiveAlgorithm = parseCollectiveAlgorithm(
-            j.at("collectiveAlgorithm").asString());
-    opts.flashAttention =
-        j.getBool("flashAttention", opts.flashAttention);
-    opts.kvPrecision =
-        j.has("kvPrecision")
-            ? parsePrecision(j.at("kvPrecision").asString())
-            : opts.precision;
+    if (!Reader::read(j, opts, "inference").sets(&opts.kvPrecision))
+        opts.kvPrecision = opts.precision;  // the KV cache follows the run
+    return opts;
+}
+
+TrainingPlannerOptions
+plannerOptionsFromJson(const JsonValue &j)
+{
+    TrainingPlannerOptions opts;
+    Reader::read(j, opts, "planner");
     return opts;
 }
 

@@ -5,19 +5,24 @@
  * the CLI (tools/optimus_cli) and any embedding application use to
  * drive the model from config files.
  *
- * Deserializers accept either a full specification or a preset
- * reference: {"preset": "a100-80gb"} — a preset can also be used as a
- * base and overridden field by field.
+ * Each config type is written and read from one field list, so toJson
+ * and its reader round-trip by construction. A reader starts from the
+ * type's defaults, or for a device, link, system or model from a
+ * preset ({"preset": "a100-80gb"}), and each field the object has
+ * overrides that base. A member the list does not name is a LintError
+ * (OPT-CFG-025) that reports every unknown member of the object.
  */
 
 #ifndef OPTIMUS_CONFIG_SERIALIZE_H
 #define OPTIMUS_CONFIG_SERIALIZE_H
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "inference/engine.h"
 #include "lint/lint.h"
+#include "planner/planner.h"
 #include "training/trainer.h"
 #include "util/json.h"
 
@@ -51,6 +56,8 @@ JsonValue toJson(const ParallelConfig &par);
 JsonValue toJson(const TrainingMemory &mem);
 JsonValue toJson(const TrainingOptions &opts);
 JsonValue toJson(const InferenceOptions &opts);
+/** A planner's search: its ZeRO, recompute and microbatch lists, keep. */
+JsonValue toJson(const TrainingPlannerOptions &opts);
 JsonValue toJson(const TrainingReport &rep);
 JsonValue toJson(const InferenceReport &rep);
 JsonValue toJson(const lint::Diagnostic &diag);
@@ -61,10 +68,23 @@ JsonValue toJson(const lint::LintReport &report);
 Device deviceFromJson(const JsonValue &j);
 NetworkLink linkFromJson(const JsonValue &j);
 System systemFromJson(const JsonValue &j);
+/** A model without numKvHeads, in it and its preset, has numHeads. */
 TransformerConfig modelFromJson(const JsonValue &j);
 ParallelConfig parallelFromJson(const JsonValue &j);
 TrainingOptions trainingOptionsFromJson(const JsonValue &j);
+/** Without kvPrecision, the KV cache takes the run's precision. */
 InferenceOptions inferenceOptionsFromJson(const JsonValue &j);
+/** The search of a planner; its training options and threads are unset. */
+TrainingPlannerOptions plannerOptionsFromJson(const JsonValue &j);
+
+/**
+ * Throw a LintError with one OPT-CFG-025 error per member of object
+ * @p j that @p known does not name. @p what names a member in the
+ * message, e.g. "parallel field".
+ */
+void rejectUnknownFields(const JsonValue &j,
+                         std::span<const char *const> known,
+                         const std::string &what);
 
 } // namespace config
 } // namespace optimus

@@ -169,6 +169,7 @@ ruleCatalog()
          "context parallelism (ring attention) requires flash attention"},
         {kRuleOverlapFraction, Severity::Error,
          "communication overlap fraction must lie in [0, 1]"},
+        {kRuleUnknownField, Severity::Error, "unknown config field"},
     };
     return catalog;
 }

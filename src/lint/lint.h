@@ -123,6 +123,7 @@ inline constexpr char kRuleSeqVsContextParallel[] = "OPT-PAR-021";
 inline constexpr char kRuleZeroStage[] = "OPT-MEM-022";
 inline constexpr char kRuleContextParallelFlash[] = "OPT-PAR-023";
 inline constexpr char kRuleOverlapFraction[] = "OPT-CFG-024";
+inline constexpr char kRuleUnknownField[] = "OPT-CFG-025";
 
 // ---- Lint passes -------------------------------------------------------
 

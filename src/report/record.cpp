@@ -381,22 +381,7 @@ recordPlanner(const TransformerConfig &model, const System &sys,
         if (kv.first != "recompute" && kv.first != "zeroStage")
             training.set(kv.first, kv.second);
     config.set("training", std::move(training));
-    auto list = [](const auto &values, auto item) {
-        JsonValue a = JsonValue::array();
-        for (const auto &v : values)
-            a.push(item(v));
-        return a;
-    };
-    auto number = [](auto v) { return JsonValue::number(double(v)); };
-    JsonValue search = JsonValue::object();
-    search.set("zeroStages", list(opts.zeroStages, number));
-    search.set("recomputeChoices",
-               list(opts.recomputeChoices, [](Recompute r) {
-                   return JsonValue::string(recomputeName(r));
-               }));
-    search.set("microbatchSizes", list(opts.microbatchSizes, number));
-    search.set("keep", number(opts.keep));
-    config.set("planner", std::move(search));
+    config.set("planner", config::toJson(opts));
     RunRecord rec = beginRecord("planner", label, std::move(config));
     rec.threads = resolveThreads(opts.threads);
 

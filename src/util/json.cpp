@@ -126,12 +126,6 @@ JsonValue::getInt(const std::string &key, long long fallback) const
     return has(key) ? at(key).asInt() : fallback;
 }
 
-bool
-JsonValue::getBool(const std::string &key, bool fallback) const
-{
-    return has(key) ? at(key).asBool() : fallback;
-}
-
 std::string
 JsonValue::getString(const std::string &key, std::string fallback) const
 {

@@ -66,7 +66,6 @@ class JsonValue
     /** Member access with fallback when absent. */
     double getNumber(const std::string &key, double fallback) const;
     long long getInt(const std::string &key, long long fallback) const;
-    bool getBool(const std::string &key, bool fallback) const;
     std::string getString(const std::string &key,
                           std::string fallback) const;
     /** Set (or replace) a member; this must be an object. */

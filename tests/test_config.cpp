@@ -155,6 +155,21 @@ TEST(Deserialize, FullSystemFromScratch)
     EXPECT_EQ(sys.intraLink.name, "NVLink4");
 }
 
+TEST(Deserialize, SystemPresetIsABase)
+{
+    System sys = config::systemFromJson(JsonValue::parse(R"({
+        "preset": "dgx-a100",
+        "devicesPerNode": 4,
+        "intraLink": {"preset": "nvlink5"}
+    })"));
+    EXPECT_EQ(sys.devicesPerNode, 4);
+    EXPECT_EQ(sys.intraLink.name, presets::nvlink5().name);
+    EXPECT_DOUBLE_EQ(sys.intraLink.bandwidth, presets::nvlink5().bandwidth);
+    // The fields the config does not name keep the preset's values.
+    EXPECT_EQ(sys.device.name, presets::a100_80gb().name);
+    EXPECT_EQ(sys.interLink.name, presets::dgxA100(1).interLink.name);
+}
+
 TEST(Deserialize, OptionsFromJson)
 {
     TrainingOptions t = config::trainingOptionsFromJson(
@@ -194,6 +209,117 @@ TEST(Deserialize, RejectsUnknownEnumValues)
     EXPECT_THROW(config::linkFromJson(JsonValue::parse(
                      R"({"preset": "carrier-pigeon"})")),
                  ConfigError);
+}
+
+/** The writer's output for @p j after a round trip through the reader. */
+template <class T, T (*Read)(const JsonValue &)>
+JsonValue
+replay(const JsonValue &j)
+{
+    return config::toJson(Read(j));
+}
+
+/** Object @p j with member @p key spelled @p to, in place. */
+JsonValue
+renamed(const JsonValue &j, const std::string &key, const std::string &to)
+{
+    JsonValue out = JsonValue::object();
+    for (const auto &[k, v] : j.asObject())
+        out.set(k == key ? to : k, v);
+    return out;
+}
+
+/** True when @p read rejects @p j with OPT-CFG-025. */
+bool
+rejectsUnknownField(JsonValue (*read)(const JsonValue &), const JsonValue &j)
+{
+    try {
+        read(j);
+    } catch (const LintError &e) {
+        return e.report().has(lint::kRuleUnknownField);
+    }
+    return false;
+}
+
+TEST(Serialize, EveryFieldRoundTripsAndRejectsItsTypo)
+{
+    ParallelConfig par{.dataParallel = 2,
+                       .tensorParallel = 4,
+                       .pipelineParallel = 2,
+                       .sequenceParallel = true,
+                       .schedule = PipelineSchedule::Interleaved1F1B,
+                       .microbatchSize = 2,
+                       .interleavedStages = 3,
+                       .expertParallel = 2,
+                       .contextParallel = 2};
+    TrainingOptions train;
+    train.precision = Precision::FP8;
+    train.recompute = Recompute::Selective;
+    train.seqLength = 4096;
+    train.collectiveAlgorithm = CollectiveAlgorithm::Ring;
+    train.dpOverlapFraction = 0.25;
+    train.tpOverlapFraction = 0.5;
+    train.flashAttention = true;
+    train.memory.zeroStage = 2;
+    InferenceOptions infer;
+    infer.tensorParallel = 2;
+    infer.pipelineParallel = 2;
+    infer.batch = 8;
+    infer.promptLength = 1024;
+    infer.generateLength = 64;
+    infer.collectiveAlgorithm = CollectiveAlgorithm::DoubleBinaryTree;
+    infer.flashAttention = true;
+    infer.kvPrecision = Precision::FP8;
+    TrainingPlannerOptions planner;
+    planner.zeroStages = {0, 1, 3};
+    planner.recomputeChoices = {Recompute::Selective};
+    planner.microbatchSizes = {1, 2, 4};
+    planner.keep = 3;
+
+    const struct
+    {
+        JsonValue json;
+        JsonValue (*replay)(const JsonValue &);
+    } cases[] = {
+        {config::toJson(presets::ndrInfiniBand()),
+         replay<NetworkLink, config::linkFromJson>},
+        {config::toJson(presets::h100_sxm()),
+         replay<Device, config::deviceFromJson>},
+        {config::toJson(presets::dgxB200Nvs(4)),
+         replay<System, config::systemFromJson>},
+        {config::toJson(models::mixtral8x7b()),
+         replay<TransformerConfig, config::modelFromJson>},
+        {config::toJson(par),
+         replay<ParallelConfig, config::parallelFromJson>},
+        {config::toJson(train),
+         replay<TrainingOptions, config::trainingOptionsFromJson>},
+        {config::toJson(infer),
+         replay<InferenceOptions, config::inferenceOptionsFromJson>},
+        {config::toJson(planner),
+         replay<TrainingPlannerOptions, config::plannerOptionsFromJson>},
+    };
+    for (const auto &c : cases) {
+        const std::string dump = c.json.dump();
+        EXPECT_EQ(c.replay(c.json).dump(), dump);
+        for (const auto &[key, value] : c.json.asObject())
+            EXPECT_TRUE(rejectsUnknownField(
+                c.replay, renamed(c.json, key, key.substr(0, key.size() - 1))))
+                << key << " misspelt in " << dump;
+    }
+
+    // A device's memory levels have a list of their own.
+    const JsonValue device = config::toJson(presets::h100_sxm());
+    const JsonValue &levels = device.at("mem");
+    for (const auto &[key, value] : levels.asArray().front().asObject()) {
+        JsonValue mem = JsonValue::array();
+        for (const JsonValue &level : levels.asArray())
+            mem.push(renamed(level, key, key.substr(0, key.size() - 1)));
+        JsonValue typo = device;
+        typo.set("mem", std::move(mem));
+        EXPECT_TRUE(rejectsUnknownField(
+            replay<Device, config::deviceFromJson>, typo))
+            << key << " misspelt in a memory level";
+    }
 }
 
 TEST(Serialize, ReportsAreWellFormed)

@@ -93,7 +93,6 @@ TEST(Json, IntegerAccessors)
     EXPECT_EQ(j.getInt("n", 0), 3);
     EXPECT_EQ(j.getInt("missing", 11), 11);
     EXPECT_EQ(j.getString("missing", "dflt"), "dflt");
-    EXPECT_TRUE(j.getBool("missing", true));
 }
 
 TEST(Json, RejectsMalformedInput)

@@ -120,9 +120,10 @@ TEST(LintCatalog, EveryRuleIdIsCataloguedOnce)
           lint::kRuleKvPrecision, lint::kRuleModelStructure,
           lint::kRuleSystemStructure, lint::kRuleMappingPositive,
           lint::kRuleSeqVsContextParallel, lint::kRuleZeroStage,
-          lint::kRuleContextParallelFlash, lint::kRuleOverlapFraction})
+          lint::kRuleContextParallelFlash, lint::kRuleOverlapFraction,
+          lint::kRuleUnknownField})
         EXPECT_TRUE(ids.count(id)) << id << " missing from catalog";
-    EXPECT_EQ(ids.size(), 24u);
+    EXPECT_EQ(ids.size(), 25u);
 }
 
 // ---- Mapping rules (positive / negative per ID) ------------------------

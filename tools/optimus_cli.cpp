@@ -9,8 +9,9 @@
  * in the file replaces the flags' member whole. Every command around a
  * training or inference run resolves it through resolveRun and
  * config::runFromJson, which also replays a RunRecord's config. A flag
- * that no command reads, or a config file that is not a JSON object,
- * is an error. Add --json to emit the report as JSON instead of text.
+ * or a config member that no command reads, or a config file that is
+ * not a JSON object, is an error. Add --json to emit the report as
+ * JSON instead of text.
  *
  * Examples:
  *   optimus_cli train --model gpt-175b --system dgx-a100 --nodes 8 \
@@ -43,9 +44,15 @@ configPath(const Args &args)
                                       : args.positionals().front();
 }
 
+/** The config members some command reads; any other is an error. */
+const char *const kMembers[] = {"model",    "system",    "parallel",
+                                "batch",    "training",  "inference",
+                                "planner"};
+
 /**
  * The parsed config file, or an empty object when none is given. A
- * file whose top level is not an object is a ConfigError.
+ * file whose top level is not an object is a ConfigError, and a
+ * member that no command reads is OPT-CFG-025.
  */
 JsonValue
 loadConfig(const Args &args)
@@ -60,6 +67,7 @@ loadConfig(const Args &args)
     JsonValue cfg = JsonValue::parse(ss.str());
     checkConfig(cfg.isObject(),
                 "config file " + path + " is not a JSON object");
+    config::rejectUnknownFields(cfg, kMembers, "config member");
     return cfg;
 }
 
@@ -187,17 +195,27 @@ resolveRun(const Args &args)
     return resolveRun(args, cfg, mode == "infer");
 }
 
-/** The planner search of `plan` and `record --mode plan` around a run. */
-TrainingPlannerOptions
-resolvePlannerOptions(const Args &args, const Run &run)
+/**
+ * The training run of `plan` and `record --mode plan` and the search
+ * around it: the config's planner member whole, else ZeRO {0, the
+ * run's stage} keeping the --top plans.
+ */
+std::pair<Run, TrainingPlannerOptions>
+resolvePlan(const Args &args)
 {
+    const JsonValue cfg = loadConfig(args);
+    const Run run = resolveRun(args, cfg, false);
     TrainingPlannerOptions opts;
+    if (cfg.has("planner")) {
+        opts = config::plannerOptionsFromJson(cfg.at("planner"));
+    } else {
+        if (run.training.memory.zeroStage != 0)
+            opts.zeroStages.push_back(run.training.memory.zeroStage);
+        opts.keep = static_cast<size_t>(args.getInt("top", 8));
+    }
     opts.training = run.training;
-    if (run.training.memory.zeroStage != 0)
-        opts.zeroStages.push_back(run.training.memory.zeroStage);
-    opts.keep = static_cast<size_t>(args.getInt("top", 8));
     opts.threads = static_cast<int>(args.getInt("threads", 0));
-    return opts;
+    return {run, opts};
 }
 
 int
@@ -352,10 +370,9 @@ cmdSensitivity(const Args &args)
 int
 cmdPlan(const Args &args)
 {
-    const Run run = resolveRun(args, loadConfig(args), false);
+    const auto [run, opts] = resolvePlan(args);
     std::vector<TrainingPlan> plans =
-        planTraining(run.model, run.sys, run.batch,
-                     resolvePlannerOptions(args, run));
+        planTraining(run.model, run.sys, run.batch, opts);
     if (plans.empty()) {
         std::cout << "no parallelization of " << run.model.name
                   << " fits " << run.sys.device.name
@@ -674,10 +691,9 @@ cmdRecord(const Args &args)
     const std::string mode = args.get("mode");
     report::RunRecord rec;
     if (mode == "plan") {
-        const Run run = resolveRun(args, loadConfig(args), false);
+        const auto [run, opts] = resolvePlan(args);
         rec = report::recordPlanner(
-            run.model, run.sys, run.batch,
-            resolvePlannerOptions(args, run),
+            run.model, run.sys, run.batch, opts,
             args.get("label", run.model.name + " planner"));
     } else if (mode == "dse") {
         // --mode names the search, so the config picks the run's mode.
